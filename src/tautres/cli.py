@@ -97,10 +97,9 @@ def _cmd_severi(args) -> int:
         if r > 2:
             raise ConfigError("--d knows the pairing for r <= 2 only")
         surface = p2_surface(args.d)
-        a_vals = [
-            pair_integral(severi_coefficient(q).coefficients, surface)
-            for q in range(1, r + 1)
-        ]
+        coefficients = [severi_coefficient(q).coefficients for q in range(1, r)]
+        coefficients.append(sel.coefficients)
+        a_vals = [pair_integral(c, surface) for c in coefficients]
         p_vals = bell_transform(a_vals)
         n_r = severi_count(p_vals[r - 1], r)
         a_r = a_vals[r - 1]

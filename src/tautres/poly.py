@@ -15,6 +15,7 @@ anywhere in this module.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -22,6 +23,10 @@ from typing import Iterable, Mapping
 Key = tuple  # dense exponent vector, one slot per context variable
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+class TermBudgetExceeded(RuntimeError):
+    """Raised when an intermediate polynomial outgrows the term budget."""
 
 
 @dataclass(frozen=True)
@@ -166,12 +171,36 @@ class MPoly:
     def __mul__(self, other):
         if not isinstance(other, MPoly):
             return self.scale(other)
+        return self.mul(other)
+
+    __rmul__ = __mul__
+
+    def mul(self, other: "MPoly", window: tuple | None = None, budget: int | None = None) -> "MPoly":
+        """The product kernel: self * other, optionally windowed and budgeted.
+
+        window = (i, lo, hi) keeps only the terms whose exponent of
+        variable i lies in [lo, hi].  The right operand is sorted once by
+        that exponent, so each left term visits only the slice of it that
+        can land in the window.  budget caps the number of terms of the
+        growing product; it is checked after each left term, and
+        TermBudgetExceeded names the windowed variable.
+        """
         self._check(other)
-        cap = self.ctx.dim_cap
-        degrees = self.ctx.degrees
+        ctx = self.ctx
+        cap = ctx.dim_cap
+        degrees = ctx.degrees
+        right = list(other.terms.items())
+        if window is not None:
+            i, lo, hi = window
+            right.sort(key=lambda kc: kc[0][i])
+            exps = [k[i] for k, _ in right]
         terms: dict = {}
         for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
+            row = right
+            if window is not None:
+                e1 = k1[i]
+                row = right[bisect_left(exps, lo - e1) : bisect_right(exps, hi - e1)]
+            for k2, c2 in row:
                 key = tuple(a + b for a, b in zip(k1, k2))
                 if cap is not None:
                     gdeg = sum(e * d for e, d in zip(key, degrees) if e)
@@ -187,9 +216,12 @@ class MPoly:
                         terms[key] = acc
                     else:
                         del terms[key]
-        return MPoly(self.ctx, terms)
-
-    __rmul__ = __mul__
+            if budget is not None and len(terms) > budget:
+                where = "" if window is None else " while eliminating %s" % ctx.names[window[0]]
+                raise TermBudgetExceeded(
+                    "intermediate size %d exceeds budget %d%s" % (len(terms), budget, where)
+                )
+        return MPoly(ctx, terms)
 
     def scale(self, value) -> "MPoly":
         value = Fraction(value)

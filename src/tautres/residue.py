@@ -16,6 +16,17 @@ every remaining denominator factor either has leading variable t (it is
 expanded now, truncated to the exponents that can still reach t^{-1})
 or does not contain t at all.  Truncation is exact: dropped tails can
 only produce total t-exponents below -1.
+
+Each Laurent prefactor joins the step of its outermost variable, the
+largest contour index with a nonzero exponent in it; one in geometry
+symbols only is multiplied in once, before the first step.  At the step
+for t the prefactors, then the expansions, are multiplied into the
+numerator one at a time, each product cut to the t-exponents from which
+the factors still to come can reach t^{-1}.  Deferring a prefactor is
+exact: it does not contain the variables eliminated before its step, so
+it commutes with taking their coefficients, and the ``dim_cap``
+truncation of products is a quotient by an ideal, so the order of the
+products does not change the result.
 """
 
 from __future__ import annotations
@@ -25,11 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .poly import LinearForm, MPoly, VariableContext
-
-
-class TermBudgetExceeded(RuntimeError):
-    """Raised when an intermediate polynomial outgrows the term budget."""
+from .poly import LinearForm, MPoly, TermBudgetExceeded, VariableContext
 
 
 DEFAULT_TERM_BUDGET = 10_000_000
@@ -92,6 +99,9 @@ class ResidueProblem:
     denominator: linear-form factors with multiplicities.
     laurent_prefactors: exact Laurent factors such as truncated Segre
         series and inverse monomials; nonpositive residue exponents.
+        Each joins the elimination step of its outermost residue
+        variable; one without residue variables is multiplied in before
+        the first step.
     prefactor: global rational constant, applied at the very end.
     """
 
@@ -114,38 +124,10 @@ class ResidueProblem:
                 raise ValueError("laurent prefactor in foreign context")
 
 
-def _mul_windowed(acc: MPoly, factor: MPoly, i: int, lo: int, hi: int, budget: int) -> MPoly:
-    """acc * factor, dropping terms whose exponent of variable i leaves [lo, hi]."""
-    ctx = acc.ctx
-    cap = ctx.dim_cap
-    degrees = ctx.degrees
-    terms: dict = {}
-    for k1, c1 in acc.terms.items():
-        for k2, c2 in factor.terms.items():
-            e = k1[i] + k2[i]
-            if e < lo or e > hi:
-                continue
-            key = tuple(a + b for a, b in zip(k1, k2))
-            if cap is not None:
-                gdeg = sum(x * d for x, d in zip(key, degrees) if x)
-                if gdeg > cap:
-                    continue
-            c = c1 * c2
-            acc2 = terms.get(key)
-            if acc2 is None:
-                terms[key] = c
-            else:
-                acc2 = acc2 + c
-                if acc2:
-                    terms[key] = acc2
-                else:
-                    del terms[key]
-    if len(terms) > budget:
-        raise TermBudgetExceeded(
-            "intermediate size %d exceeds budget %d while eliminating %s"
-            % (len(terms), budget, ctx.names[i])
-        )
-    return MPoly(ctx, terms)
+def _outermost_variable(p: MPoly) -> int | None:
+    """Largest contour index whose exponent is nonzero in some term of p."""
+    k = p.ctx.k
+    return max((i for key in p.terms for i in range(k) if key[i]), default=None)
 
 
 def iterated_residue(problem: ResidueProblem, term_budget: int = DEFAULT_TERM_BUDGET) -> MPoly:
@@ -155,33 +137,30 @@ def iterated_residue(problem: ResidueProblem, term_budget: int = DEFAULT_TERM_BU
     """
     ctx = problem.ctx
     num = problem.numerator
+    deferred: dict = {}
     for p in problem.laurent_prefactors:
-        num = num * p
-        if len(num.terms) > term_budget:
-            raise TermBudgetExceeded(
-                "prefactor fold produced %d terms (budget %d)" % (len(num.terms), term_budget)
-            )
+        i = _outermost_variable(p)
+        if i is None:
+            num = num.mul(p, budget=term_budget)
+        else:
+            deferred.setdefault(i, []).append(p)
     remaining = list(problem.denominator)
     for i in range(ctx.k - 1, -1, -1):
         led = [f for f in remaining if f.leading_index() == i]
         remaining = [f for f in remaining if f.leading_index() != i]
-        if not led:
-            num = num.coefficient_of(i, -1)
-            continue
-        d_max = num.max_exponent(i)
+        # factors multiplied in at this step, each with its z_i exponent range
+        factors = [(p, p.min_exponent(i), p.max_exponent(i)) for p in deferred.get(i, ())]
+        d_max = num.max_exponent(i) + sum(top for _, _, top in factors)
         total_mult = sum(f.multiplicity for f in led)
-        expansions = []
         for f in led:
             cutoff = -1 - d_max + (total_mult - f.multiplicity)
-            expansions.append(expand_inverse_at_infinity(f, cutoff).poly)
-        # window pruning: after factor j, remaining factors contribute
-        # exponents in [sum of cutoffs, sum of -mult]
-        cutoffs = [-1 - d_max + (total_mult - f.multiplicity) for f in led]
-        tops = [-f.multiplicity for f in led]
-        for j, factor in enumerate(expansions):
-            lo_rest = sum(cutoffs[j + 1 :])
-            hi_rest = sum(tops[j + 1 :])
-            num = _mul_windowed(num, factor, i, -1 - hi_rest, -1 - lo_rest, term_budget)
+            factors.append((expand_inverse_at_infinity(f, cutoff).poly, cutoff, -f.multiplicity))
+        # window pruning: after factor j, the factors still to come
+        # contribute exponents in [sum of their lows, sum of their highs]
+        for j, (factor, _, _) in enumerate(factors):
+            lo_rest = sum(low for _, low, _ in factors[j + 1 :])
+            hi_rest = sum(top for _, _, top in factors[j + 1 :])
+            num = num.mul(factor, window=(i, -1 - hi_rest, -1 - lo_rest), budget=term_budget)
         num = num.coefficient_of(i, -1)
     for i in range(ctx.k):
         if num.max_exponent(i) or num.min_exponent(i):

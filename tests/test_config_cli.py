@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from tautres import cli
+from tautres import assemble, cli
 from tautres.config import (
     ConfigError,
     build_problem,
@@ -200,6 +200,33 @@ def test_cli_severi_two_node_with_plane_counts(capsys):
     assert out[1:5] == ["L^2 -42 1", "L*c1 -39 1", "c1^2 -6 1", "c2 -7 1"]
     assert out[5] == "a_2[P2 d=4] -279 1"
     assert out[6] == "N_2[P2 d=4] 225 1"
+
+
+def test_cli_severi_evaluates_each_coefficient_once(capsys, monkeypatch):
+    calls = []
+    real = assemble.iterated_residue
+
+    def counting(problem, *args, **kwargs):
+        calls.append(problem)
+        return real(problem, *args, **kwargs)
+
+    monkeypatch.setattr(assemble, "iterated_residue", counting)
+    assert cli.main(["severi", "--r", "2", "--d", "5"]) == 0
+    assert lines(capsys) == [
+        "value -42*L^2 - 39*L*c1 - 6*c1^2 - 7*c2",
+        "L^2 -42 1",
+        "L*c1 -39 1",
+        "c1^2 -6 1",
+        "c2 -7 1",
+        "a_2[P2 d=5] -540 1",
+        "N_2[P2 d=5] 882 1",
+    ]
+    # a_2 for the value lines, a_1 for the plane count; a_2 is not redone
+    assert len(calls) == 2
+    calls.clear()
+    assert cli.main(["severi", "--r", "1", "--d", "3"]) == 0
+    assert lines(capsys)[-2:] == ["a_1[P2 d=3] 12 1", "N_1[P2 d=3] 12 1"]
+    assert len(calls) == 1
 
 
 def test_cli_eval_config(capsys):

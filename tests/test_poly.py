@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from tautres.poly import (
     LinearForm,
     MPoly,
+    TermBudgetExceeded,
     VariableContext,
     format_poly,
     linear_form,
@@ -123,6 +124,15 @@ def test_dim_cap_drops_deep_geometry():
     assert c1 * c1 == MPoly.var(capped, "c1", 2)
 
 
+def test_mul_budget_caps_the_growing_product():
+    z = V("z1")
+    q = 1 - z + z ** 2 - z ** 3
+    # one row already holds 4 terms, though the whole product 1 - z^4 has 2
+    with pytest.raises(TermBudgetExceeded, match="while eliminating z1$"):
+        (1 + z).mul(q, window=(0, -4, 4), budget=3)
+    assert (1 + z).mul(q, budget=4) == 1 - z ** 4
+
+
 # -- canonical text form ----------------------------------------------------
 
 
@@ -182,6 +192,14 @@ def test_ring_axioms(p, q, r):
     assert (p + q) + r == p + (q + r)
     assert (p * q) * r == p * (q * r)
     assert p * (q + r) == p * q + p * r
+
+
+@given(small_polys(), small_polys(), st.integers(0, 4), st.integers(-7, 5), st.integers(0, 6))
+@settings(max_examples=120, deadline=None)
+def test_windowed_mul_is_the_product_cut_to_the_window(p, q, i, lo, width):
+    hi = lo + width
+    want = {k: c for k, c in (p * q).terms.items() if lo <= k[i] <= hi}
+    assert p.mul(q, window=(i, lo, hi)).terms == want
 
 
 @given(small_polys())

@@ -12,6 +12,8 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from tautres.assemble import AlgebraSpec, assemble_punctual, evaluate, severi_bundle
+from tautres.chern import generic_surface
 from tautres.poly import MPoly, VariableContext, linear_form, parse_poly
 from tautres.residue import (
     Expansion,
@@ -136,9 +138,20 @@ def test_term_budget_is_enforced():
         denominator=(linear_form(ctx, z - spread),),
     )
     # the z^-1 window still carries all 20 monomials of (l1+..+l4)^3
-    with pytest.raises(TermBudgetExceeded):
+    with pytest.raises(TermBudgetExceeded, match="while eliminating z$"):
         iterated_residue(prob, term_budget=2)
     assert iterated_residue(prob) == -(spread ** 3)
+
+
+@pytest.mark.parametrize("filtration,budget", [((2, 3, 1), 20_000), ((2, 3), 5_000)])
+def test_deferred_prefactors_fit_a_budget_an_up_front_fold_exceeds(filtration, budget):
+    # multiplying every Laurent prefactor into the numerator before any
+    # elimination peaks at 66,755 terms for (2,3,1) and 9,804 for (2,3),
+    # whose value is nonzero; each variable's own step stays below the budget
+    surface = generic_surface()
+    algebra = AlgebraSpec(sum(filtration) + 1, filtration)
+    problem = assemble_punctual(algebra, severi_bundle(), surface, "c2")
+    assert evaluate(problem, surface, term_budget=budget) == evaluate(problem, surface)
 
 
 def test_problem_validation():
@@ -244,6 +257,34 @@ def test_oracle_with_series_prefactor():
         laurent_prefactors=(inv, segre),
         prefactor=Fraction(-1, 2),
     )
+    _agrees_with_oracle(prob)
+
+
+def test_oracle_with_prefactors_deferred_past_outer_steps():
+    # Segre factors on z1 and on z2, an inverse monomial spanning both and
+    # a geometry-only factor: the z1 factor joins the z1 step, after the
+    # (z2 - z1) pole has been expanded at the z2 step
+    ctx = VariableContext(residue_vars=("z1", "z2"), geometry=(("c1", 1), ("c2", 2)))
+    z1 = MPoly.var(ctx, "z1")
+    z2 = MPoly.var(ctx, "z2")
+    c1 = MPoly.var(ctx, "c1")
+    c2 = MPoly.var(ctx, "c2")
+
+    def segre(name):
+        return 1 + c1 * MPoly.var(ctx, name, -1) + (c1 * c1 - c2) * MPoly.var(ctx, name, -2)
+
+    inv = MPoly.from_terms(ctx, {(-1, -2, 0, 0): 1})
+    prob = ResidueProblem(
+        ctx=ctx,
+        numerator=(z2 - z1) * (z2 + 2 * z1) * (z1 + c1) * z1 * z2 * z2,
+        denominator=(
+            linear_form(ctx, z2 - z1, multiplicity=2),
+            linear_form(ctx, z1 - c1),
+        ),
+        laurent_prefactors=(segre("z1"), inv, 1 + c2, segre("z2")),
+        prefactor=Fraction(3, 2),
+    )
+    assert not iterated_residue(prob).is_zero()
     _agrees_with_oracle(prob)
 
 
