@@ -1,18 +1,21 @@
 """Problem assembly: from algebra and geometry data to ResidueProblems.
 
-Builders cover four shapes:
+One builder covers every point configuration.  assemble_geometric takes
+a geometric subset, support algebras A_1..A_s, and returns one problem
+per set partition of the support; each block stands for the sum algebra
+of its points and brings its difference factors, pair-sum denominators,
+epd, Laurent monomial (z_1...z_m)^(-n) / dual, Segre factors and its own
+copy of the geometry symbols.  Two cases are specializations of it:
 
-  * assemble_punctual: one punctual geometric subset on one surface,
-    numerator difference factors from the filtration weights, pair-sum
-    denominators, Segre factor per variable.
-  * assemble_geometric: multi-point subsets; one term per set partition
-    of the support, block duals in the denominators, one copy of the
-    geometry symbols per block.
-  * assemble_ghilb: the geometric (smoothable) component with trivial
-    point algebras; Morin-type blocks with w(i) = i.
-  * assemble_severi: the nodal-curve counting problems.  r = 1, 2 are
-    built-in with the published factor structure and a calibrated
-    contour constant; r >= 3 emits the general template with a warning.
+  * assemble_punctual: the punctual subset of one algebra, a geometric
+    subset with a single support point.
+  * assemble_ghilb: the geometric (smoothable) component, k trivial
+    support algebras; each block is a Morin algebra with w(i) = i, its
+    Q_m enters as the block epd, and the prefactor carries the sign.
+
+assemble_severi builds the nodal-curve counting problems.  r = 1, 2 are
+built in with the published factor structure and a calibrated contour
+constant; r >= 3 emits the general template with a warning.
 
 Difference-factor convention: the numerator takes one factor (z_i - z_j)
 for every ordered pair i != j with w(i) <= w(j).  Equal weights thus
@@ -24,7 +27,7 @@ from __future__ import annotations
 import itertools
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .chern import (
@@ -153,9 +156,9 @@ def _apply_phi(ctx: VariableContext, phi, troots) -> MPoly:
 # -- shared factor builders ----------------------------------------------
 
 
-def _difference_factors(ctx: VariableContext, names, weights) -> MPoly:
-    """Product of (z_i - z_j) over ordered pairs i != j with w(i) <= w(j)."""
-    num = MPoly.const(ctx, 1)
+def _difference_factors(num: MPoly, names, weights) -> MPoly:
+    """num times (z_i - z_j) over ordered pairs i != j with w(i) <= w(j)."""
+    ctx = num.ctx
     for i, j in itertools.permutations(range(len(names)), 2):
         if weights[i] <= weights[j]:
             num = num * (MPoly.var(ctx, names[i]) - MPoly.var(ctx, names[j]))
@@ -198,50 +201,6 @@ def _check_epd(p: MPoly, what: str) -> MPoly:
     if len(degs) > 1:
         raise ValueError("%s is not homogeneous" % what)
     return p
-
-
-# -- punctual ------------------------------------------------------------
-
-
-def assemble_punctual(
-    algebra: AlgebraSpec,
-    bundle: BundleModel,
-    surface: SurfaceModel,
-    phi,
-    prefactor=Fraction(1),
-    var_names=None,
-) -> ResidueProblem:
-    """Residue problem for the punctual subset of one algebra."""
-    m = algebra.k - 1
-    names = tuple(var_names) if var_names else tuple("z%d" % i for i in range(1, m + 1))
-    if len(names) != m:
-        raise ValueError("need %d variable names" % m)
-    wmap = weight_map(algebra.filtration)
-    weights = tuple(wmap[i] for i in range(1, m + 1))
-    geometry = tuple((r, 1) for r in bundle.roots) + tuple(surface.chern_symbols)
-    ctx = VariableContext(
-        residue_vars=names,
-        geometry=geometry,
-        weights=weights,
-        dim_cap=surface.dim,
-    )
-    num = _difference_factors(ctx, names, weights)
-    if algebra.epd:
-        num = num * _check_epd(_parse_in_vars(ctx, algebra.epd, names), "epd")
-    offsets = [MPoly.var(ctx, n) for n in names]
-    num = num * _apply_phi(ctx, phi, twisted_roots(ctx, bundle, offsets))
-    forms = _pair_sum_forms(ctx, names, weights)
-    laurents = []
-    if m:
-        laurents.append(_monomial_inverse(ctx, names, surface.dim))
-    laurents.extend(segre_factor(ctx, n, surface) for n in names)
-    return ResidueProblem(
-        ctx=ctx,
-        numerator=num,
-        denominator=tuple(forms),
-        laurent_prefactors=tuple(laurents),
-        prefactor=Fraction(prefactor),
-    )
 
 
 # -- geometric subsets ----------------------------------------------------
@@ -295,6 +254,31 @@ def _copy_suffix(t: int, block_index: int) -> str:
     return "" if t == 1 else "_%d" % (block_index + 1)
 
 
+def _sum_block(spec: GeometricSubsetSpec, block, power: int):
+    """Sum algebra, filtration weights and Laurent monomial of one block.
+
+    The Laurent monomial (z_1...z_m)^(-power) * dual^(-1) comes as its
+    exponents over z1..zm and its coefficient.
+    """
+    algs = [spec.algebras[x - 1] for x in block]
+    if len(algs) == 1:
+        block_alg = algs[0]
+    else:
+        digs = [a.diagram for a in algs]
+        if any(d is None for d in digs):
+            raise ValueError("algebras in block %r need diagrams to be summed" % (block,))
+        block_alg = AlgebraSpec.from_diagram(curvilinear_sum(digs), epd=spec.block_epd(block))
+    m = block_alg.k - 1
+    wmap = weight_map(block_alg.filtration)
+    weights = tuple(wmap[i] for i in range(1, m + 1))
+    dual_text = spec.block_dual(block)
+    dual = parse_poly(VariableContext(residue_vars=_block_names(1, 0, m)), dual_text)
+    if len(dual.terms) != 1:
+        raise ValueError("non-monomial dual %r unsupported" % dual_text)
+    (key, coef), = dual.terms.items()
+    return block_alg, weights, (tuple(-power - e for e in key), 1 / coef)
+
+
 def assemble_geometric(
     spec: GeometricSubsetSpec,
     bundle: BundleModel,
@@ -303,33 +287,27 @@ def assemble_geometric(
 ):
     """One (partition, ResidueProblem) per set partition of the support.
 
-    Unknown collision duals raise; they are never invented.
+    Each block of a partition stands for the sum algebra of its support
+    algebras, with m variables (its length minus one) and its own copy of
+    the geometry symbols.  It contributes the difference factors and
+    pair-sum denominators of its filtration weights, its epd to the
+    numerator, the Laurent monomial (z_1...z_m)^(-n) / dual (n the
+    surface dimension, dual the collision dual) and a Segre factor per
+    variable.  Unknown collision duals raise; they are never invented.
     """
     s = len(spec.algebras)
+    shared = {}  # a block's data is the same in every partition it occurs in
     out = []
     for alpha in set_partitions(s):
         t = len(alpha)
         blocks = []
         for l, block in enumerate(alpha):
-            algs = [spec.algebras[x - 1] for x in block]
-            if len(algs) == 1:
-                block_alg = algs[0]
-            else:
-                digs = [a.diagram for a in algs]
-                if any(d is None for d in digs):
-                    raise ValueError(
-                        "algebras in block %r need diagrams to be summed" % (block,)
-                    )
-                block_alg = AlgebraSpec.from_diagram(
-                    curvilinear_sum(digs), epd=spec.block_epd(block)
-                )
-            m = block_alg.k - 1
-            names = _block_names(t, l, m)
-            wmap = weight_map(block_alg.filtration)
-            weights = tuple(wmap[i] for i in range(1, m + 1))
-            blocks.append((block, block_alg, names, weights, spec.block_dual(block)))
+            if block not in shared:
+                shared[block] = _sum_block(spec, block, surface.dim)
+            block_alg, weights, laurent = shared[block]
+            blocks.append((block_alg, _block_names(t, l, len(weights)), weights, laurent))
 
-        all_names = tuple(n for _, _, names, _, _ in blocks for n in names)
+        all_names = tuple(n for _, names, _, _ in blocks for n in names)
         geometry = []
         for l in range(t):
             sfx = _copy_suffix(t, l)
@@ -338,7 +316,6 @@ def assemble_geometric(
         ctx = VariableContext(
             residue_vars=all_names,
             geometry=tuple(geometry),
-            weights=None,
             dim_cap=surface.dim * t,
         )
 
@@ -346,22 +323,18 @@ def assemble_geometric(
         forms = []
         laurents = []
         troots = []
-        for l, (block, block_alg, names, weights, dual_text) in enumerate(blocks):
-            num = num * _difference_factors(ctx, names, weights)
+        for l, (block_alg, names, weights, (exps, coef)) in enumerate(blocks):
+            num = _difference_factors(num, names, weights)
             if block_alg.epd:
                 num = num * _check_epd(
-                    _parse_in_vars(ctx, block_alg.epd, names), "block epd"
+                    _parse_in_vars(ctx, block_alg.epd, names), "epd %r" % block_alg.epd
                 )
             forms.extend(_pair_sum_forms(ctx, names, weights))
-            if names:
-                laurents.append(_monomial_inverse(ctx, names, surface.dim))
-            if dual_text != "1":
-                dual = _parse_in_vars(ctx, dual_text, names)
-                if len(dual.terms) != 1:
-                    raise ValueError("non-monomial dual %r unsupported" % dual_text)
-                (key, coef), = dual.terms.items()
-                inv_key = tuple(-e for e in key)
-                laurents.append(MPoly(ctx, {inv_key: Fraction(1) / coef}))
+            if names or coef != 1:
+                key = [0] * ctx.nvars
+                for n, e in zip(names, exps):
+                    key[ctx.index(n)] = e
+                laurents.append(MPoly(ctx, {tuple(key): coef}))
             sfx = _copy_suffix(t, l)
             surf_l = surface.with_suffix(sfx)
             laurents.extend(segre_factor(ctx, n, surf_l) for n in names)
@@ -377,11 +350,28 @@ def assemble_geometric(
                     numerator=num,
                     denominator=tuple(forms),
                     laurent_prefactors=tuple(laurents),
-                    prefactor=Fraction(1),
                 ),
             )
         )
     return out
+
+
+def assemble_punctual(
+    algebra: AlgebraSpec,
+    bundle: BundleModel,
+    surface: SurfaceModel,
+    phi,
+) -> ResidueProblem:
+    """Residue problem for the punctual subset of one algebra.
+
+    This is the geometric subset with the algebra as its only support
+    point: its single partition is one block holding the algebra itself,
+    with no collision dual.
+    """
+    [(_, problem)] = assemble_geometric(
+        GeometricSubsetSpec((algebra,)), bundle, surface, phi
+    )
+    return problem
 
 
 def assemble_ghilb(
@@ -393,66 +383,29 @@ def assemble_ghilb(
 ):
     """Terms for the geometric component of the length-k Hilbert scheme.
 
-    Per block of size m+1: numerator (-1)^m * prod_{i<j}(z_i - z_j) * Q_m,
+    This is the geometric subset of k trivial support algebras.  A block
+    of size m+1 sums to the Morin algebra, weights w(i) = i, with dual
+    z_1...z_m: numerator (-1)^m * prod_{i<j}(z_i - z_j) * Q_m,
     denominator prod_{i+j<=l<=m}(z_i + z_j - z_l) * (z_1...z_m)^(n+1).
-    The Q_m are external inputs (canonical text in z1..zm), default 1.
+    The Q_m (m >= 1) are external inputs, homogeneous canonical text in
+    z1..zm, default 1; each is the block epd of every block of size m+1.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     q_polys = q_polys or {}
-    out = []
-    for alpha in set_partitions(k):
-        t = len(alpha)
-        sizes = [len(block) for block in alpha]
-        names_by_block = [_block_names(t, l, sz - 1) for l, sz in enumerate(sizes)]
-        all_names = tuple(n for names in names_by_block for n in names)
-        geometry = []
-        for l in range(t):
-            sfx = _copy_suffix(t, l)
-            geometry.extend((r, 1) for r in bundle.with_suffix(sfx).roots)
-            geometry.extend(surface.with_suffix(sfx).chern_symbols)
-        ctx = VariableContext(
-            residue_vars=all_names,
-            geometry=tuple(geometry),
-            weights=None,
-            dim_cap=surface.dim * t,
-        )
-        num = MPoly.const(ctx, 1)
-        sign = 1
-        forms = []
-        laurents = []
-        troots = []
-        for l, names in enumerate(names_by_block):
-            m = len(names)
-            sign *= (-1) ** m
-            weights = tuple(range(1, m + 1))
-            for i, j in itertools.combinations(range(m), 2):
-                num = num * (MPoly.var(ctx, names[i]) - MPoly.var(ctx, names[j]))
-            q_text = q_polys.get(m, "1")
-            if q_text != "1":
-                num = num * _parse_in_vars(ctx, q_text, names)
-            forms.extend(_pair_sum_forms(ctx, names, weights))
-            if names:
-                laurents.append(_monomial_inverse(ctx, names, surface.dim + 1))
-            sfx = _copy_suffix(t, l)
-            surf_l = surface.with_suffix(sfx)
-            laurents.extend(segre_factor(ctx, n, surf_l) for n in names)
-            offsets = [MPoly.var(ctx, n) for n in names]
-            troots.extend(twisted_roots(ctx, bundle.with_suffix(sfx), offsets))
-        num = num * _apply_phi(ctx, phi, troots)
-        out.append(
-            (
-                alpha,
-                ResidueProblem(
-                    ctx=ctx,
-                    numerator=num,
-                    denominator=tuple(forms),
-                    laurent_prefactors=tuple(laurents),
-                    prefactor=Fraction(sign),
-                ),
-            )
-        )
-    return out
+    if any(m < 1 for m in q_polys):
+        raise ValueError("Q_m needs m >= 1: a single point has no variables")
+    block_epds = {
+        frozenset(block): text
+        for m, text in q_polys.items()
+        for block in itertools.combinations(range(1, k + 1), m + 1)
+    }
+    spec = GeometricSubsetSpec((AlgebraSpec.trivial(),) * k, block_epds=block_epds)
+    return [
+        # the product of the per-block signs (-1)^m, m = |block| - 1
+        (alpha, replace(problem, prefactor=Fraction((-1) ** (k - len(alpha)))))
+        for alpha, problem in assemble_geometric(spec, bundle, surface, phi)
+    ]
 
 
 # -- Severi problems -------------------------------------------------------
@@ -504,16 +457,13 @@ def assemble_severi(
     if r == 2:
         # calibrated contour, kept exactly as validated
         contour = ["z10", "z01", "z11", "z20", "z30"]
-        weights = (1, 1, 2, 2, 3)
     else:
         by_degree = sorted(fam0 + fam1, key=lambda nd: (nd[1], nd[0][-1]))
         contour = [n for n, _ in by_degree]
-        weights = tuple(d for _, d in by_degree)
     geometry = (("L", 1),) + tuple(surface.chern_symbols)
     ctx = VariableContext(
         residue_vars=tuple(contour),
         geometry=geometry,
-        weights=weights,
         dim_cap=surface.dim,
     )
 

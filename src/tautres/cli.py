@@ -85,6 +85,8 @@ def _cmd_severi(args) -> int:
         # the template numerator grows factorially in the contour size;
         # r = 3 already expands to ~1.2e5 terms, r = 4 would not finish
         raise ConfigError("--r beyond 3 is impractical to expand exactly")
+    if args.d is not None and r > 2:
+        raise ConfigError("--d knows the pairing for r <= 2 only")
     prefactor = Fraction(args.prefactor) if args.prefactor else None
     problem = assemble_severi(r, epd=args.epd, prefactor=prefactor)
     if r > 2:
@@ -94,8 +96,6 @@ def _cmd_severi(args) -> int:
     sel = evaluate(problem, generic_surface())
     _emit_selection(sel)
     if args.d is not None:
-        if r > 2:
-            raise ConfigError("--d knows the pairing for r <= 2 only")
         surface = p2_surface(args.d)
         coefficients = [severi_coefficient(q).coefficients for q in range(1, r)]
         coefficients.append(sel.coefficients)
@@ -115,9 +115,13 @@ def _cmd_ghilb(args) -> int:
             raise ConfigError("--q wants M:TEXT, got %r" % spec)
         m, text = spec.split(":", 1)
         q_polys[int(m)] = text.strip()
-    terms = assemble_ghilb(
-        args.k, severi_bundle(), generic_surface(), args.phi, q_polys
-    )
+    try:
+        terms = assemble_ghilb(
+            args.k, severi_bundle(), generic_surface(), args.phi, q_polys
+        )
+    except KeyError as exc:
+        # a --q or --phi text naming a variable that is not there
+        raise ConfigError(exc.args[0]) from None
     for alpha, problem in terms:
         label = "".join("{%s}" % ",".join(str(x) for x in blk) for blk in alpha)
         print("term %s" % label)
@@ -199,7 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--q",
         action="append",
         metavar="M:TEXT",
-        help="block polynomial for block size m+1, text in z1..zm; repeatable",
+        help="homogeneous block polynomial Q_m for block size m+1 (m >= 1), "
+        "text in z1..zm; repeatable",
     )
     p.add_argument(
         "--evaluate", action="store_true", help="also print each term's residue"

@@ -40,7 +40,7 @@ from .chern import (
     segre_factor,
     twisted_roots,
 )
-from .poly import MPoly, VariableContext, parse_linear_form, parse_poly
+from .poly import MPoly, VariableContext, parse_linear_form, parse_poly, split_power
 from .residue import ResidueProblem
 
 
@@ -208,22 +208,9 @@ def build_surface(line: str) -> SurfaceModel:
 
 def _monomial_denominator(ctx: VariableContext, text: str) -> MPoly | None:
     """(z10*z01)^2 or z10 -> the exact inverse monomial, else None."""
-    text = text.strip()
-    mult = 1
-    if text.endswith(")") is False and ")" in text:
-        body, _, tail = text.rpartition(")")
-        tail = tail.strip()
-        if not tail.startswith("^"):
-            return None
-        try:
-            mult = int(tail[1:])
-        except ValueError:
-            return None
-        text = body + ")"
-    if text.startswith("(") and text.endswith(")"):
-        text = text[1:-1]
     try:
-        p = parse_poly(ctx, text)
+        body, mult = split_power(text)
+        p = parse_poly(ctx, body)
     except (ValueError, KeyError):
         return None
     if len(p.terms) != 1:
@@ -240,15 +227,14 @@ def build_problem(cfg: ProblemConfig):
     surface = build_surface(cfg.surface_line)
     bundle = BundleModel(rank=1, roots=("L",))
     names = tuple(n for n, _ in cfg.var_lines)
-    weights = None
-    if cfg.var_lines and cfg.var_lines[0][1] is not None:
-        weights = tuple(w for _, w in cfg.var_lines)
+    weights = [w for _, w in cfg.var_lines if w is not None]
+    if any(a > b for a, b in zip(weights, weights[1:])):
+        raise ConfigError("[vars] weights must be weakly monotone in contour position")
     geometry = (("L", 1),) + tuple(surface.chern_symbols)
     try:
         ctx = VariableContext(
             residue_vars=names,
             geometry=geometry,
-            weights=weights,
             dim_cap=surface.dim,
         )
     except ValueError as exc:

@@ -35,15 +35,12 @@ class VariableContext:
 
     residue_vars: contour order, position i means |z_i| << |z_{i+1}|.
     geometry: (symbol, degree) pairs, e.g. (("L", 1), ("c1", 1), ("c2", 2)).
-    weights: optional filtration weights for the residue variables,
-        weakly monotone in contour position.
     dim_cap: if set, products silently drop terms whose total geometry
         degree exceeds the cap (integration over an n-fold kills them).
     """
 
     residue_vars: tuple = ()
     geometry: tuple = ()
-    weights: tuple | None = None
     dim_cap: int | None = None
 
     def __post_init__(self):
@@ -53,11 +50,6 @@ class VariableContext:
         for n in names:
             if not _NAME_RE.fullmatch(n):
                 raise ValueError("bad variable name %r" % n)
-        if self.weights is not None:
-            if len(self.weights) != len(self.residue_vars):
-                raise ValueError("weights length mismatch")
-            if any(a > b for a, b in zip(self.weights, self.weights[1:])):
-                raise ValueError("weights must be weakly monotone in contour position")
         degrees = (0,) * len(self.residue_vars) + tuple(d for _, d in self.geometry)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "degrees", degrees)
@@ -520,17 +512,27 @@ def linear_form(ctx: VariableContext, poly: MPoly, multiplicity: int = 1) -> Lin
     return LinearForm(ctx, tuple(coeffs), MPoly(ctx, const_terms), multiplicity)
 
 
-def parse_linear_form(ctx: VariableContext, text: str) -> LinearForm:
-    """Parse ``(2*z10 - z20)`` or ``(z10 + z01 - z11)^3``."""
+def split_power(text: str) -> tuple:
+    """Split ``(body)^n`` into ``(body, n)``; ``(body)`` or ``body`` has n = 1.
+
+    Raises ValueError when a closing parenthesis is followed by anything
+    but ``^`` and an integer.
+    """
     text = text.strip()
     mult = 1
-    if text.endswith(")") is False and ")" in text:
+    if not text.endswith(")") and ")" in text:
         body, _, tail = text.rpartition(")")
         tail = tail.strip()
         if not tail.startswith("^"):
-            raise ValueError("bad linear form %r" % text)
+            raise ValueError("bad power %r" % text)
         mult = int(tail[1:])
         text = body + ")"
     if text.startswith("(") and text.endswith(")"):
         text = text[1:-1]
-    return linear_form(ctx, parse_poly(ctx, text), mult)
+    return text, mult
+
+
+def parse_linear_form(ctx: VariableContext, text: str) -> LinearForm:
+    """Parse ``(2*z10 - z20)`` or ``(z10 + z01 - z11)^3``."""
+    body, mult = split_power(text)
+    return linear_form(ctx, parse_poly(ctx, body), mult)

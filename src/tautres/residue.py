@@ -31,8 +31,7 @@ products does not change the result.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -167,108 +166,3 @@ def iterated_residue(problem: ResidueProblem, term_budget: int = DEFAULT_TERM_BU
             raise AssertionError("residue variable %s survived elimination" % ctx.names[i])
     sign = -1 if ctx.k % 2 else 1
     return num.scale(problem.prefactor * sign)
-
-
-# -- independent localization oracle ------------------------------------
-
-
-def _divide_linear(p: MPoly, i: int, j: int) -> MPoly:
-    """Exact division of p by (x_i - x_j); raises if not divisible."""
-    ctx = p.ctx
-    quotient = MPoly.zero(ctx)
-    xi = MPoly.var(ctx, ctx.names[i])
-    xj = MPoly.var(ctx, ctx.names[j])
-    divisor = xi - xj
-    while True:
-        e = p.max_exponent(i)
-        if e <= 0:
-            if not p.is_zero():
-                raise ArithmeticError("inexact division by (%s - %s)" % (ctx.names[i], ctx.names[j]))
-            return quotient
-        lead = p.coefficient_of(i, e)
-        step = lead * MPoly.var(ctx, ctx.names[i], e - 1)
-        quotient = quotient + step
-        p = p - step * divisor
-
-
-def grassmann_context(n: int, d: int) -> VariableContext:
-    zs = tuple("z%d" % (m + 1) for m in range(d))
-    lams = tuple(("lam%d" % (i + 1), 1) for i in range(n))
-    return VariableContext(residue_vars=zs, geometry=lams)
-
-
-def grassmann_fixed_point_sum(n: int, d: int, alpha: MPoly) -> MPoly:
-    """Torus fixed point sum for integrals over the Grassmannian Gr(d, n).
-
-    alpha is a polynomial in z_1..z_d (context from grassmann_context).
-    Returns the exact polynomial in lam_1..lam_n equal to
-
-        sum over injective tuples s: alpha(lam_s) /
-            prod_{m chosen, i not chosen} (lam_i - lam_m),
-
-    computed over the common denominator prod_{i != j}(lam_i - lam_j)
-    followed by exact linear divisions.  The tuple sum is not divided
-    by d!: the residue counterpart carries the full ordered pair
-    product over the z variables, so for symmetric alpha this equals
-    d! times the plain one-term-per-subset sum.  Non-symmetric alpha
-    is symmetrized by the tuple sum itself.
-    """
-    ctx = alpha.ctx
-    lam_idx = [ctx.index("lam%d" % (i + 1)) for i in range(n)]
-    z_idx = [ctx.index("z%d" % (m + 1)) for m in range(d)]
-    all_pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-
-    def lam_poly(i: int) -> MPoly:
-        return MPoly.var(ctx, ctx.names[lam_idx[i]])
-
-    total = MPoly.zero(ctx)
-    for chosen in itertools.combinations(range(n), d):
-        chosen_set = set(chosen)
-        denom_pairs = {(i, m) for m in chosen for i in range(n) if i not in chosen_set}
-        sym = MPoly.zero(ctx)
-        for order in itertools.permutations(chosen):
-            # substitute z_m -> lam_{order[m]}
-            terms: dict = {}
-            for key, coef in alpha.terms.items():
-                nk = list(key)
-                for m, zi in enumerate(z_idx):
-                    e = nk[zi]
-                    if e:
-                        if e < 0:
-                            raise ValueError("alpha must be polynomial in the z variables")
-                        nk[zi] = 0
-                        nk[lam_idx[order[m]]] += e
-                tk = tuple(nk)
-                terms[tk] = terms.get(tk, Fraction(0)) + coef
-            sym = sym + MPoly(ctx, {k: c for k, c in terms.items() if c})
-        complement = MPoly.const(ctx, 1)
-        for (i, j) in all_pairs:
-            if (i, j) not in denom_pairs:
-                complement = complement * (lam_poly(i) - lam_poly(j))
-        total = total + sym * complement
-    for (i, j) in all_pairs:
-        total = _divide_linear(total, lam_idx[i], lam_idx[j])
-    return total
-
-
-def grassmann_residue_problem(n: int, d: int, alpha: MPoly) -> ResidueProblem:
-    """Residue-side counterpart of the fixed point sum, same context.
-
-    Numerator: alpha * prod over ordered pairs m != l of (z_m - z_l).
-    Denominator: (lam_i - z_m) for every i, m, each to the first power.
-    """
-    ctx = alpha.ctx
-    num = alpha
-    for m in range(d):
-        for l in range(d):
-            if m != l:
-                num = num * (MPoly.var(ctx, "z%d" % (m + 1)) - MPoly.var(ctx, "z%d" % (l + 1)))
-    forms = []
-    for m in range(d):
-        coeffs = [Fraction(0)] * ctx.k
-        coeffs[ctx.index("z%d" % (m + 1))] = Fraction(-1)
-        for i in range(n):
-            forms.append(
-                LinearForm(ctx, tuple(coeffs), MPoly.var(ctx, "lam%d" % (i + 1)), 1)
-            )
-    return ResidueProblem(ctx=ctx, numerator=num, denominator=tuple(forms))

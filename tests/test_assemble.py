@@ -1,5 +1,6 @@
 """Problem builders: punctual, geometric, point-component, and nodal-degree."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,8 @@ from tautres.assemble import (
 )
 from tautres.chern import elementary_symmetric, generic_surface, twisted_roots
 from tautres.diagrams import from_partition
-from tautres.poly import MPoly, parse_poly
+from tautres.poly import MPoly, format_poly, parse_poly
+from tautres.residue import iterated_residue
 
 
 SURFACE = generic_surface()
@@ -92,7 +94,6 @@ def test_punctual_length_two_structure():
     prob = assemble_punctual(AlgebraSpec.morin(2), severi_bundle(), SURFACE, phi=2)
     ctx = prob.ctx
     assert ctx.residue_vars == ("z1",)
-    assert ctx.weights == (1,)
     assert prob.denominator == ()
     # inverse square of the coordinate, then the Segre tail
     assert len(prob.laurent_prefactors) == 2
@@ -119,14 +120,9 @@ def test_punctual_no_pair_sums_for_two_equal_weights():
         AlgebraSpec(k=3, filtration=(2,)), severi_bundle(), SURFACE, phi=2
     )
     assert prob.denominator == ()
-    assert prob.ctx.weights == (1, 1)
 
 
-def test_punctual_rejects_bad_var_names_and_epd():
-    with pytest.raises(ValueError, match="variable names"):
-        assemble_punctual(
-            AlgebraSpec.morin(3), severi_bundle(), SURFACE, phi=None, var_names=("a",)
-        )
+def test_punctual_rejects_inhomogeneous_epd():
     bad = AlgebraSpec(k=3, filtration=(1, 1), epd="z1 + 1")
     with pytest.raises(ValueError, match="homogeneous"):
         assemble_punctual(bad, severi_bundle(), SURFACE, phi=None)
@@ -134,11 +130,8 @@ def test_punctual_rejects_bad_var_names_and_epd():
 
 def test_punctual_doubled_point_reproduces_one_node_coefficient():
     # independent route to the same integral as the nodal-degree builder
-    prob = assemble_punctual(
-        AlgebraSpec(k=3, filtration=(2,)),
-        severi_bundle(),
-        SURFACE,
-        phi=2,
+    prob = replace(
+        assemble_punctual(AlgebraSpec(k=3, filtration=(2,)), severi_bundle(), SURFACE, phi=2),
         prefactor=Fraction(1, 2),
     )
     sel = evaluate(prob, SURFACE)
@@ -154,8 +147,6 @@ def test_geometric_single_support_matches_punctual():
     [(alpha, prob)] = assemble_geometric(spec, severi_bundle(), SURFACE, phi=2)
     assert alpha == ((1,),)
     direct = assemble_punctual(AlgebraSpec.morin(2), severi_bundle(), SURFACE, phi=2)
-    # contexts agree up to the stored contour weights (the geometric
-    # builder keeps weights per block, not on the context)
     assert prob.ctx.residue_vars == direct.ctx.residue_vars
     assert prob.ctx.geometry == direct.ctx.geometry
     assert prob.ctx.dim_cap == direct.ctx.dim_cap
@@ -175,7 +166,8 @@ def test_geometric_two_points_collision_block():
     # the summed support is a length-4 axis on three variables
     assert merged.ctx.residue_vars == ("z1", "z2", "z3")
     # collision dual for two length-2 axes is z1, entering inverted
-    assert MPoly.var(merged.ctx, "z1", -1) in merged.laurent_prefactors
+    # together with the inverse (z1*z2*z3)^2 in one Laurent factor
+    assert parse_poly(merged.ctx, "z1^-3*z2^-2*z3^-2") in merged.laurent_prefactors
     split = dict(out)[((1,), (2,))]
     assert split.ctx.residue_vars == ("b1z1", "b2z1")
     names = [n for n, _ in split.ctx.geometry]
@@ -255,6 +247,39 @@ def test_ghilb_triple_point_block():
     assert tri.numerator == plain.numerator * z1z2
 
 
+def test_ghilb_four_points_pinned_terms():
+    # sign (-1)^(4 - #blocks); Q_1 enters every pair block, Q_2 every triple
+    out = assemble_ghilb(
+        4, severi_bundle(), SURFACE, phi="c2", q_polys={1: "z1", 2: "z1*z2"}
+    )
+    got = [
+        (alpha, prob.prefactor, format_poly(iterated_residue(prob)))
+        for alpha, prob in out
+    ]
+    pair = "L_1 + L_2 + L_3"
+    assert got == [
+        (((1, 2, 3, 4),), -1, "0"),
+        (((1, 2, 3), (4,)), 1, "1"),
+        (((1, 2, 4), (3,)), 1, "1"),
+        (((1, 2), (3, 4)), 1, "1"),
+        (((1, 2), (3,), (4,)), -1, pair),
+        (((1, 3, 4), (2,)), 1, "1"),
+        (((1, 3), (2, 4)), 1, "1"),
+        (((1, 3), (2,), (4,)), -1, pair),
+        (((1, 4), (2, 3)), 1, "1"),
+        (((1,), (2, 3, 4)), 1, "1"),
+        (((1,), (2, 3), (4,)), -1, pair),
+        (((1, 4), (2,), (3,)), -1, pair),
+        (((1,), (2, 4), (3,)), -1, pair),
+        (((1,), (2,), (3, 4)), -1, pair),
+        (
+            ((1,), (2,), (3,), (4,)),
+            1,
+            "L_1*L_2 + L_1*L_3 + L_1*L_4 + L_2*L_3 + L_2*L_4 + L_3*L_4",
+        ),
+    ]
+
+
 def test_ghilb_rejects_bad_k():
     with pytest.raises(ValueError):
         assemble_ghilb(0, severi_bundle(), SURFACE, phi=None)
@@ -267,7 +292,6 @@ def test_severi_one_node_structure():
     prob = assemble_severi(1)
     ctx = prob.ctx
     assert ctx.residue_vars == ("z10", "z01")
-    assert ctx.weights == (1, 1)
     assert prob.denominator == ()
     assert prob.prefactor == SEVERI_PRINTED_PREFACTOR[1] * SEVERI_CONTOUR_CALIBRATION[1]
     assert prob.prefactor == Fraction(-1, 2)
@@ -284,7 +308,6 @@ def test_severi_two_node_structure():
     prob = assemble_severi(2)
     ctx = prob.ctx
     assert ctx.residue_vars == ("z10", "z01", "z11", "z20", "z30")
-    assert ctx.weights == (1, 1, 2, 2, 3)
     assert prob.prefactor == -1
     texts = (
         "2*z10 - z20",
@@ -323,9 +346,7 @@ def test_severi_template_beyond_two_warns():
     assert ctx.residue_vars == (
         "z10", "z01", "z20", "z11", "z30", "z21", "z40", "z50",
     )
-    assert ctx.weights == (1, 1, 2, 2, 3, 3, 4, 5)
     assert prob.prefactor == 5
-    assert all(a <= b for a, b in zip(ctx.weights, ctx.weights[1:]))
 
 
 # -- published coefficient maps ----------------------------------------------------

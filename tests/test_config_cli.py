@@ -229,6 +229,17 @@ def test_cli_severi_evaluates_each_coefficient_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_cli_severi_pairing_beyond_two_fails_before_building(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("assemble_severi called")
+
+    monkeypatch.setattr(cli, "assemble_severi", refuse)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["severi", "--r", "3", "--d", "4"])
+    assert exc.value.code == 2
+    assert "r <= 2 only" in capsys.readouterr().err
+
+
 def test_cli_eval_config(capsys):
     assert cli.main(["eval", str(CONFIGS / "one_node.cfg")]) == 0
     out = lines(capsys)
@@ -288,6 +299,21 @@ def test_cli_error_exits(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["ghilb", "--k", "2", "--q", "nocolon"])
     assert exc.value.code == 2
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ghilb", "--k", "3", "--q", "1:z2"])
+    assert exc.value.code == 2
+    assert "unknown variable 'z2'" in capsys.readouterr().err
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ghilb", "--k", "3", "--q", "0:z1"])
+    assert exc.value.code == 2
+    assert "m >= 1" in capsys.readouterr().err
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ghilb", "--k", "3", "--q", "1:z1 + 1"])
+    assert exc.value.code == 2
+    assert "not homogeneous" in capsys.readouterr().err
 
     with pytest.raises(SystemExit):
         cli.main([])

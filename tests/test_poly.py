@@ -42,18 +42,6 @@ def test_context_rejects_bad_names():
         VariableContext(geometry=(("c 1", 1),))
 
 
-def test_context_rejects_nonmonotone_weights():
-    # contour position i must have weight <= position i+1
-    with pytest.raises(ValueError, match="weakly monotone"):
-        VariableContext(residue_vars=("a", "b"), weights=(2, 1))
-    VariableContext(residue_vars=("a", "b"), weights=(1, 1))
-
-
-def test_context_rejects_weight_length_mismatch():
-    with pytest.raises(ValueError, match="length mismatch"):
-        VariableContext(residue_vars=("a", "b"), weights=(1,))
-
-
 def test_context_lookup():
     assert CTX.k == 2
     assert CTX.nvars == 5

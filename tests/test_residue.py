@@ -20,10 +20,12 @@ from tautres.residue import (
     ResidueProblem,
     TermBudgetExceeded,
     expand_inverse_at_infinity,
+    iterated_residue,
+)
+from tautres.verify import (
     grassmann_context,
     grassmann_fixed_point_sum,
     grassmann_residue_problem,
-    iterated_residue,
 )
 
 
