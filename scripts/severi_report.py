@@ -1,8 +1,8 @@
 """Print the built-in nodal-degree data and plane curve counts.
 
-Runs the two calibrated problems, applies the exponential transform,
-and pairs the results against the plane preset for a small range of
-curve degrees.  Everything is exact rational arithmetic.
+Runs the two built-in problems (r = 1, 2), applies the exponential
+transform, and pairs the results against the plane preset for a small
+range of curve degrees.  Everything is exact rational arithmetic.
 
 Usage: python scripts/severi_report.py [--dmin 3] [--dmax 6]
 """

@@ -13,9 +13,11 @@ copy of the geometry symbols.  Two cases are specializations of it:
     support algebras; each block is a Morin algebra with w(i) = i, its
     Q_m enters as the block epd, and the prefactor carries the sign.
 
-assemble_severi builds the nodal-curve counting problems.  r = 1, 2 are
-built in with the published factor structure and a calibrated contour
-constant; r >= 3 emits the general template with a warning.
+assemble_severi builds the nodal-curve counting problems by one rule for
+every r: box x^a*y^b weighs 3a + 5b, the contour follows the weights and
+the denominators are the same pair-sum forms a geometric subset gets.
+r = 1, 2 carry prefactors fixed by the classical a_1 and a_2; r >= 3
+emits the general template with a warning.
 
 Difference-factor convention: the numerator takes one factor (z_i - z_j)
 for every ordered pair i != j with w(i) <= w(j).  Equal weights thus
@@ -410,20 +412,11 @@ def assemble_ghilb(
 
 # -- Severi problems -------------------------------------------------------
 
-# Published constant in front of each integral.
-SEVERI_PRINTED_PREFACTOR = {1: Fraction(1, 2), 2: Fraction(1, 6)}
-
-# Contour orientation constant.  Fixed once per problem by independent
-# closed-form evaluation (r=1, two variables, done by hand and by series
-# expansion) and exact interpolation over a 7-point coefficient fit
-# (r=2); see the acceptance tests, which pin both values end to end.
-SEVERI_CONTOUR_CALIBRATION = {1: Fraction(-1), 2: Fraction(-6)}
-
-
-def _severi_box_vars(r: int):
-    fam0 = [("z%d0" % a, a) for a in range(1, 2 * r)]  # box x^a, degree a
-    fam1 = [("z%d1" % b, b + 1) for b in range(0, r)]  # box x^b y, degree b+1
-    return fam0, fam1
+# Constant in front of each built-in integral.  The rule below fixes
+# everything else; these two values are fixed by the classical a_1 (a
+# closed form) and a_2 (225 two-nodal plane quartics, Kleiman-Piene
+# 1999), which the acceptance tests pin end to end.
+SEVERI_PREFACTOR = {1: Fraction(-1, 2), 2: Fraction(-1)}
 
 
 def severi_bundle() -> BundleModel:
@@ -438,10 +431,13 @@ def assemble_severi(
 ) -> ResidueProblem:
     """Nodal-degree residue problem; evaluate() on it yields a_r.
 
-    r = 1 and r = 2 are built in with the published factor structure;
-    the calibrated contour constant is folded into the prefactor.  For
-    r >= 3 only the general template is emitted, with a warning, since
-    no published value pins its conventions.
+    One rule builds every r.  Box x^a*y^b weighs 3a + 5b; the contour is
+    the box variables sorted by weight, and the denominators are the
+    pair-sum forms z_i + z_j - z_m with w(i) + w(j) <= w(m), as for a
+    geometric subset.  Any y-weight strictly between 1.5 and 2 times the
+    x-weight gives the same forms.  r = 1 and r = 2 carry the prefactors
+    of SEVERI_PREFACTOR.  For r >= 3 the template is emitted with a
+    warning, since no published value pins its epd and prefactor.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -452,14 +448,11 @@ def assemble_severi(
     if r <= 2 and (epd or prefactor is not None):
         raise ValueError("r <= 2 problems are built in; epd/prefactor are fixed")
 
-    fam0, fam1 = _severi_box_vars(r)
-    refined_order = [n for n, _ in fam0] + [n for n, _ in fam1]
-    if r == 2:
-        # calibrated contour, kept exactly as validated
-        contour = ["z10", "z01", "z11", "z20", "z30"]
-    else:
-        by_degree = sorted(fam0 + fam1, key=lambda nd: (nd[1], nd[0][-1]))
-        contour = [n for n, _ in by_degree]
+    # boxes (a, b) of x^a*y^b in the refined order: x^a, then x^b*y
+    boxes = [(a, 0) for a in range(1, 2 * r)] + [(b, 1) for b in range(r)]
+    refined_order = ["z%d%d" % box for box in boxes]
+    weight = {n: 3 * a + 5 * b for n, (a, b) in zip(refined_order, boxes)}
+    contour = sorted(refined_order, key=weight.__getitem__)
     geometry = (("L", 1),) + tuple(surface.chern_symbols)
     ctx = VariableContext(
         residue_vars=tuple(contour),
@@ -471,39 +464,14 @@ def assemble_severi(
     for a, b in itertools.combinations(refined_order, 2):
         num = num * (MPoly.var(ctx, a) - MPoly.var(ctx, b))
     if r == 1:
-        # the one-node integrand carries the squared difference
+        # a single difference is antisymmetric and integrates to 0; the
+        # one-node integrand carries it squared
         num = num * (MPoly.var(ctx, "z10") - MPoly.var(ctx, "z01"))
     offsets = [MPoly.var(ctx, n) for n in refined_order]
     num = num * elementary_symmetric(2 * r, twisted_roots(ctx, bundle, offsets))
+    forms = _pair_sum_forms(ctx, contour, [weight[n] for n in contour])
 
-    def form(parts):
-        coeffs = [Fraction(0)] * ctx.k
-        for name, c in parts:
-            coeffs[ctx.index(name)] += c
-        return LinearForm(ctx, tuple(coeffs), MPoly.zero(ctx), 1)
-
-    if r == 1:
-        forms = []
-    elif r == 2:
-        forms = [
-            form([("z10", 2), ("z20", -1)]),
-            form([("z10", 1), ("z20", 1), ("z30", -1)]),
-            form([("z10", 2), ("z30", -1)]),
-            form([("z10", 1), ("z01", 1), ("z30", -1)]),
-            form([("z10", 1), ("z01", 1), ("z11", -1)]),
-            form([("z10", 2), ("z11", -1)]),
-        ]
-    else:
-        forms = []
-        for (na, a), (nb, b) in itertools.combinations_with_replacement(fam0, 2):
-            for (nc, c) in fam0:
-                if a + b <= c:
-                    forms.append(form([(na, 1), (nb, 1), (nc, -1)]))
-        for (na, a) in fam0:
-            for (nb, b) in fam1:
-                for (nc, c) in fam1:
-                    if a + (b - 1) <= c - 1:
-                        forms.append(form([(na, 1), (nb, 1), (nc, -1)]))
+    if r > 2:
         if epd:
             num = num * _check_epd(parse_poly(ctx, epd), "epd")
         warnings.warn(
@@ -513,14 +481,14 @@ def assemble_severi(
         )
 
     laurents = []
-    small = [n for n, a in fam0 if a <= r - 1]
+    small = [n for n, (a, b) in zip(refined_order, boxes) if b == 0 and a <= r - 1]
     if small:
         laurents.append(_monomial_inverse(ctx, small, 1))
     laurents.append(_monomial_inverse(ctx, refined_order, 2))
     laurents.extend(segre_factor(ctx, n, surface) for n in refined_order)
 
     if r <= 2:
-        pref = SEVERI_PRINTED_PREFACTOR[r] * SEVERI_CONTOUR_CALIBRATION[r]
+        pref = SEVERI_PREFACTOR[r]
     else:
         pref = Fraction(prefactor) if prefactor is not None else Fraction(1)
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from .assemble import (
     assemble_ghilb,
@@ -35,7 +34,7 @@ from .assemble import (
     severi_coefficient,
 )
 from .chern import TopDegreeSelection, generic_surface, p2_surface, pair_integral
-from .config import ConfigError, build_problem, load_config
+from .config import ConfigError, build_problem, load_config, parse_prefactor
 from .diagrams import bell_transform, severi_count
 from .multidegree import MonomialIdeal, codimension, multidegree
 from .poly import MPoly, VariableContext, format_poly
@@ -87,7 +86,7 @@ def _cmd_severi(args) -> int:
         raise ConfigError("--r beyond 3 is impractical to expand exactly")
     if args.d is not None and r > 2:
         raise ConfigError("--d knows the pairing for r <= 2 only")
-    prefactor = Fraction(args.prefactor) if args.prefactor else None
+    prefactor = parse_prefactor(args.prefactor) if args.prefactor else None
     problem = assemble_severi(r, epd=args.epd, prefactor=prefactor)
     if r > 2:
         _emit_problem(problem)
@@ -115,13 +114,9 @@ def _cmd_ghilb(args) -> int:
             raise ConfigError("--q wants M:TEXT, got %r" % spec)
         m, text = spec.split(":", 1)
         q_polys[int(m)] = text.strip()
-    try:
-        terms = assemble_ghilb(
-            args.k, severi_bundle(), generic_surface(), args.phi, q_polys
-        )
-    except KeyError as exc:
-        # a --q or --phi text naming a variable that is not there
-        raise ConfigError(exc.args[0]) from None
+    terms = assemble_ghilb(
+        args.k, severi_bundle(), generic_surface(), args.phi, q_polys
+    )
     for alpha, problem in terms:
         label = "".join("{%s}" % ",".join(str(x) for x in blk) for blk in alpha)
         print("term %s" % label)
@@ -235,6 +230,9 @@ def main(argv=None) -> int:
         parser.exit(2, "error: %s\n" % exc)
     except (OSError, ValueError) as exc:
         parser.exit(2, "error: %s\n" % exc)
+    except KeyError as exc:
+        # input text naming a variable its context does not have
+        parser.exit(2, "error: %s\n" % exc.args[0])
 
 
 if __name__ == "__main__":

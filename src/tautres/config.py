@@ -71,6 +71,13 @@ def _strip(line: str) -> str:
     return line.strip()
 
 
+def parse_prefactor(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError("bad prefactor %r" % text) from None
+
+
 def parse_config(text: str) -> ProblemConfig:
     sections: dict = {name: [] for name in _SECTIONS}
     current = None
@@ -128,12 +135,7 @@ def parse_config(text: str) -> ProblemConfig:
     if sections["prefactor"]:
         if len(sections["prefactor"]) > 1:
             raise ConfigError("multiple [prefactor] lines")
-        try:
-            prefactor = Fraction(sections["prefactor"][0])
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError(
-                "bad prefactor %r" % sections["prefactor"][0]
-            ) from None
+        prefactor = parse_prefactor(sections["prefactor"][0])
 
     surface_line = "preset generic-surface"
     if sections["surface"]:

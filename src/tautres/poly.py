@@ -266,9 +266,6 @@ class MPoly:
                 terms[tuple(nk)] = coef
         return MPoly(self.ctx, terms)
 
-    def geometry_part_degrees(self) -> set:
-        return {self.ctx.geometry_degree(k) for k in self.terms}
-
     def subs_num(self, assignment: Mapping) -> "MPoly":
         """Substitute rational values for a subset of variables."""
         idx_val = {self.ctx.index(n): Fraction(v) for n, v in assignment.items()}
@@ -295,18 +292,6 @@ class MPoly:
     def eval_at(self, assignment: Mapping) -> Fraction:
         out = self.subs_num(assignment)
         return out.constant_value()
-
-    def map_context(self, ctx: VariableContext) -> "MPoly":
-        """Reinterpret in another context sharing all used variable names."""
-        trans = [ctx.index(n) for n in self.ctx.names]
-        terms = {}
-        for key, coef in self.terms.items():
-            nk = [0] * ctx.nvars
-            for i, e in enumerate(key):
-                if e:
-                    nk[trans[i]] += e
-            terms[tuple(nk)] = terms.get(tuple(nk), Fraction(0)) + coef
-        return MPoly(ctx, {k: c for k, c in terms.items() if c})
 
     def __repr__(self):
         return format_poly(self)
@@ -401,7 +386,7 @@ def parse_poly(ctx: VariableContext, text: str) -> MPoly:
                 i += 1
                 if i < n and tokens[i] == ("op", "/"):
                     i += 1
-                    if i >= n or tokens[i][0] != "num":
+                    if i >= n or tokens[i][0] != "num" or int(tokens[i][1]) == 0:
                         raise ValueError("bad rational in %r" % text)
                     val /= int(tokens[i][1])
                     i += 1

@@ -8,8 +8,7 @@ import pytest
 from tautres.assemble import (
     AlgebraSpec,
     GeometricSubsetSpec,
-    SEVERI_CONTOUR_CALIBRATION,
-    SEVERI_PRINTED_PREFACTOR,
+    SEVERI_PREFACTOR,
     assemble_geometric,
     assemble_ghilb,
     assemble_punctual,
@@ -293,7 +292,7 @@ def test_severi_one_node_structure():
     ctx = prob.ctx
     assert ctx.residue_vars == ("z10", "z01")
     assert prob.denominator == ()
-    assert prob.prefactor == SEVERI_PRINTED_PREFACTOR[1] * SEVERI_CONTOUR_CALIBRATION[1]
+    assert prob.prefactor == SEVERI_PREFACTOR[1]
     assert prob.prefactor == Fraction(-1, 2)
     diff = MPoly.var(ctx, "z10") - MPoly.var(ctx, "z01")
     roots = twisted_roots(ctx, severi_bundle(), [MPoly.var(ctx, "z10"), MPoly.var(ctx, "z01")])
@@ -307,7 +306,7 @@ def test_severi_one_node_structure():
 def test_severi_two_node_structure():
     prob = assemble_severi(2)
     ctx = prob.ctx
-    assert ctx.residue_vars == ("z10", "z01", "z11", "z20", "z30")
+    assert ctx.residue_vars == ("z10", "z01", "z20", "z11", "z30")
     assert prob.prefactor == -1
     texts = (
         "2*z10 - z20",
@@ -347,6 +346,11 @@ def test_severi_template_beyond_two_warns():
         "z10", "z01", "z20", "z11", "z30", "z21", "z40", "z50",
     )
     assert prob.prefactor == 5
+    # the rule of the six r=2 forms: z_i + z_j - z_m per w(i) + w(j) <= w(m)
+    assert len(prob.denominator) == 34
+    got = {frozenset(f.as_poly().terms.items()) for f in prob.denominator}
+    for text in ("2*z10 - z11", "z10 + z01 - z30", "2*z01 - z21"):
+        assert frozenset(parse_poly(ctx, text).terms.items()) in got
 
 
 # -- published coefficient maps ----------------------------------------------------

@@ -315,5 +315,36 @@ def test_cli_error_exits(tmp_path, capsys):
     assert exc.value.code == 2
     assert "not homogeneous" in capsys.readouterr().err
 
+    # zero denominators in config lines, --phi and --prefactor
+    for section in ("numerator", "denominator"):
+        zero = tmp_path / ("zero_%s.cfg" % section)
+        zero.write_text("[vars]\nz10\n[%s]\n1/0\n" % section)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["eval", str(zero)])
+        assert exc.value.code == 2
+        assert "bad %s line" % section in capsys.readouterr().err
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ghilb", "--k", "2", "--phi", "1/0*c1"])
+    assert exc.value.code == 2
+    assert "bad rational" in capsys.readouterr().err
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["severi", "--r", "3", "--prefactor", "1/0"])
+    assert exc.value.code == 2
+    assert "bad prefactor" in capsys.readouterr().err
+
+    # a custom surface without c2, which the top-degree basis names
+    custom = tmp_path / "custom.cfg"
+    custom.write_text(
+        (CONFIGS / "one_node.cfg").read_text().replace(
+            "preset generic-surface", "custom dim=2 chern=c1:1 segre=c1;c1^2"
+        )
+    )
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eval", str(custom)])
+    assert exc.value.code == 2
+    assert "unknown variable 'c2'" in capsys.readouterr().err
+
     with pytest.raises(SystemExit):
         cli.main([])

@@ -157,6 +157,8 @@ def test_parse_rejects_unknown_symbol_and_parens():
         parse_poly(CTX, "q + 1")
     with pytest.raises(ValueError):
         parse_poly(CTX, "(z1 + z2)")
+    with pytest.raises(ValueError, match="bad rational"):
+        parse_poly(CTX, "z1 - 3/0")
 
 
 @st.composite
