@@ -22,6 +22,11 @@ emits the general template with a warning.
 Difference-factor convention: the numerator takes one factor (z_i - z_j)
 for every ordered pair i != j with w(i) <= w(j).  Equal weights thus
 contribute -(z_i - z_j)^2, strictly increasing weights a single factor.
+
+Every numerator product (difference factors, epd, phi) runs under
+DEFAULT_TERM_BUDGET, the budget iterated_residue uses, and a
+TermBudgetExceeded raised there says it was raised while assembling the
+numerator.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ from .diagrams import (
     weight_map,
 )
 from .multidegree import balanced_dual_text, nakajima_dual
-from .poly import LinearForm, MPoly, VariableContext, parse_poly
+from .poly import LinearForm, MPoly, TermBudgetExceeded, VariableContext, parse_poly
 from .residue import DEFAULT_TERM_BUDGET, ResidueProblem, iterated_residue
 
 
@@ -150,7 +155,7 @@ def _apply_phi(ctx: VariableContext, phi, troots) -> MPoly:
         for m, p in sorted(powers.items()):
             if m not in cache:
                 cache[m] = elementary_symmetric(m, troots)
-            term = term * cache[m] ** p
+            term = _num_mul(term, cache[m] ** p)
         total = total + term
     return total
 
@@ -158,12 +163,20 @@ def _apply_phi(ctx: VariableContext, phi, troots) -> MPoly:
 # -- shared factor builders ----------------------------------------------
 
 
+def _num_mul(num: MPoly, factor: MPoly) -> MPoly:
+    """num * factor under DEFAULT_TERM_BUDGET, for every numerator product."""
+    try:
+        return num.mul(factor, budget=DEFAULT_TERM_BUDGET)
+    except TermBudgetExceeded as exc:
+        raise TermBudgetExceeded("%s while assembling the numerator" % exc) from None
+
+
 def _difference_factors(num: MPoly, names, weights) -> MPoly:
     """num times (z_i - z_j) over ordered pairs i != j with w(i) <= w(j)."""
     ctx = num.ctx
     for i, j in itertools.permutations(range(len(names)), 2):
         if weights[i] <= weights[j]:
-            num = num * (MPoly.var(ctx, names[i]) - MPoly.var(ctx, names[j]))
+            num = _num_mul(num, MPoly.var(ctx, names[i]) - MPoly.var(ctx, names[j]))
     return num
 
 
@@ -199,6 +212,9 @@ def _parse_in_vars(ctx: VariableContext, text: str, names) -> MPoly:
 
 
 def _check_epd(p: MPoly, what: str) -> MPoly:
+    """A dual is a homogeneous polynomial: no negative exponents, one degree."""
+    if any(e < 0 for key in p.terms for e in key):
+        raise ValueError("%s has a negative exponent" % what)
     degs = {sum(key) for key in p.terms}
     if len(degs) > 1:
         raise ValueError("%s is not homogeneous" % what)
@@ -328,9 +344,8 @@ def assemble_geometric(
         for l, (block_alg, names, weights, (exps, coef)) in enumerate(blocks):
             num = _difference_factors(num, names, weights)
             if block_alg.epd:
-                num = num * _check_epd(
-                    _parse_in_vars(ctx, block_alg.epd, names), "epd %r" % block_alg.epd
-                )
+                epd = _parse_in_vars(ctx, block_alg.epd, names)
+                num = _num_mul(num, _check_epd(epd, "epd %r" % block_alg.epd))
             forms.extend(_pair_sum_forms(ctx, names, weights))
             if names or coef != 1:
                 key = [0] * ctx.nvars
@@ -343,7 +358,7 @@ def assemble_geometric(
             offsets = [MPoly.var(ctx, n) for n in names]
             troots.extend(twisted_roots(ctx, bundle.with_suffix(sfx), offsets))
 
-        num = num * _apply_phi(ctx, phi, troots)
+        num = _num_mul(num, _apply_phi(ctx, phi, troots))
         out.append(
             (
                 alpha,
@@ -460,20 +475,22 @@ def assemble_severi(
         dim_cap=surface.dim,
     )
 
+    # the epd is checked before the numerator it joins is built
+    dual = _check_epd(parse_poly(ctx, epd), "epd") if epd else None
     num = MPoly.const(ctx, 1)
     for a, b in itertools.combinations(refined_order, 2):
-        num = num * (MPoly.var(ctx, a) - MPoly.var(ctx, b))
+        num = _num_mul(num, MPoly.var(ctx, a) - MPoly.var(ctx, b))
     if r == 1:
         # a single difference is antisymmetric and integrates to 0; the
         # one-node integrand carries it squared
-        num = num * (MPoly.var(ctx, "z10") - MPoly.var(ctx, "z01"))
+        num = _num_mul(num, MPoly.var(ctx, "z10") - MPoly.var(ctx, "z01"))
     offsets = [MPoly.var(ctx, n) for n in refined_order]
-    num = num * elementary_symmetric(2 * r, twisted_roots(ctx, bundle, offsets))
+    num = _num_mul(num, elementary_symmetric(2 * r, twisted_roots(ctx, bundle, offsets)))
     forms = _pair_sum_forms(ctx, contour, [weight[n] for n in contour])
 
     if r > 2:
-        if epd:
-            num = num * _check_epd(parse_poly(ctx, epd), "epd")
+        if dual is not None:
+            num = _num_mul(num, dual)
         warnings.warn(
             "Severi conventions beyond r=2 are uncalibrated; "
             "supply epd and prefactor explicitly and validate independently",

@@ -5,28 +5,57 @@ contour order, smallest modulus first) followed by the ambient geometry
 symbols with their cohomological degrees.  Every polynomial carries a
 reference to its context; mixing contexts is an error, not a coercion.
 
-Exponent keys are dense integer tuples over the full namespace.
-Residue variables may appear with negative exponents (the elimination
-loop works with truncated Laurent tails); geometry symbols never do.
-All coefficients are :class:`fractions.Fraction`.  No floats enter
-anywhere in this module.
+Storage.  An :class:`MPoly` holds its terms as a dict from one packed
+int per exponent vector to an int coefficient, over one positive
+denominator per polynomial.  Slot i of the exponent vector is a
+FIELD_BITS-wide field at bit FIELD_BITS * i holding the exponent plus a
+bias of 2^(FIELD_BITS - 1); the field above the last slot holds the
+total geometry degree.  Multiplying two monomials is then one int
+addition (minus the context's bias), and the ``dim_cap`` cut is one
+comparison against a threshold.  Exponents lie in [EXP_MIN, EXP_MAX]:
+a field of two in-range exponents summed never carries into the next
+field, and an exponent outside the range raises ValueError instead of
+wrapping.  The denominator is kept reduced (1 for the zero polynomial),
+so equal polynomials have equal dicts.  Residue variables may appear
+with negative exponents (the elimination loop works with truncated
+Laurent tails); geometry symbols never do.
+
+``Fraction`` and exponent tuples appear only at the boundaries:
+``MPoly(ctx, {exponent tuple: rational})`` constructs a polynomial, and
+``p.terms`` is a read-only ``{exponent tuple: Fraction}`` view, decoded
+on first use and cached.  No floats enter anywhere in this module.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from math import gcd, lcm
+from types import MappingProxyType
+from typing import Mapping
 
 Key = tuple  # dense exponent vector, one slot per context variable
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
+FIELD_BITS = 16
+_MASK = (1 << FIELD_BITS) - 1
+_BIAS = 1 << (FIELD_BITS - 1)
+# in-range fields hold values in [2^(FIELD_BITS-2), 3 * 2^(FIELD_BITS-2)),
+# whose top two bits differ; a sum of two of them, less the bias, stays
+# inside [0, 2^FIELD_BITS)
+EXP_MIN = -(1 << (FIELD_BITS - 2))
+EXP_MAX = (1 << (FIELD_BITS - 2)) - 1
+
 
 class TermBudgetExceeded(RuntimeError):
     """Raised when an intermediate polynomial outgrows the term budget."""
+
+
+def _out_of_range(value) -> ValueError:
+    return ValueError("exponent %s outside the packed range [%d, %d]" % (value, EXP_MIN, EXP_MAX))
 
 
 @dataclass(frozen=True)
@@ -51,8 +80,22 @@ class VariableContext:
             if not _NAME_RE.fullmatch(n):
                 raise ValueError("bad variable name %r" % n)
         degrees = (0,) * len(self.residue_vars) + tuple(d for _, d in self.geometry)
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "degrees", degrees)
+        shifts = tuple(FIELD_BITS * i for i in range(len(names)))
+        deg_shift = FIELD_BITS * len(names)
+        # no cap: a threshold above the degree of any product of in-range keys
+        cap = self.dim_cap if self.dim_cap is not None else 2 * EXP_MAX * sum(degrees)
+        packing = {
+            "names": names,
+            "degrees": degrees,
+            "_shifts": shifts,
+            # adding e * _units[i] to a key adds e to slot i and e * degree to the degree field
+            "_units": tuple((1 << s) + (d << deg_shift) for s, d in zip(shifts, degrees)),
+            "_zero": sum(_BIAS << s for s in shifts),
+            "_in_range": sum(1 << (s + FIELD_BITS - 2) for s in shifts),
+            "_cap_limit": (cap + 1) << deg_shift,
+        }
+        for attr, value in packing.items():
+            object.__setattr__(self, attr, value)
 
     @property
     def k(self) -> int:
@@ -74,55 +117,98 @@ class VariableContext:
     def geometry_degree(self, key: Key) -> int:
         return sum(e * d for e, d in zip(key, self.degrees) if e)
 
+    def _pack(self, key) -> int:
+        if len(key) != len(self.names):
+            raise ValueError("exponent vector %r has %d slots, not %d" % (key, len(key), len(self.names)))
+        packed = self._zero
+        for e, unit in zip(key, self._units):
+            if not EXP_MIN <= e <= EXP_MAX:
+                raise _out_of_range(e)
+            packed += e * unit
+        return packed
 
-def _norm_terms(terms: Mapping) -> dict:
-    out = {}
-    for key, coef in terms.items():
-        coef = Fraction(coef)
-        if coef:
-            out[tuple(key)] = coef
-    return out
+    def _unpack(self, packed: int) -> Key:
+        return tuple(((packed >> s) & _MASK) - _BIAS for s in self._shifts)
 
 
-@dataclass(frozen=True, eq=False)
+def _make(ctx: VariableContext, terms: dict, den: int = 1) -> "MPoly":
+    """An MPoly over packed terms whose coefficients and den > 0 share no factor."""
+    p = object.__new__(MPoly)
+    p.ctx, p._t, p._den, p._view = ctx, terms, den, None
+    return p
+
+
+def _reduced(ctx: VariableContext, terms: dict, den: int) -> "MPoly":
+    """Divide the coefficients and den > 0 by their gcd (den of zero becomes 1)."""
+    if den != 1:
+        g = gcd(den, *terms.values())
+        if g != 1:
+            den //= g
+            terms = {k: c // g for k, c in terms.items()}
+    return _make(ctx, terms, den)
+
+
 class MPoly:
-    """Immutable sparse polynomial (Laurent in the residue variables)."""
+    """Immutable sparse polynomial (Laurent in the residue variables).
 
-    ctx: VariableContext
-    terms: dict = field(default_factory=dict)
+    MPoly(ctx, {exponent tuple: rational}) builds one from boundary data;
+    zero coefficients are dropped.
+    """
+
+    __slots__ = ("ctx", "_t", "_den", "_view")
+
+    def __init__(self, ctx: VariableContext, terms: Mapping = MappingProxyType({})):
+        fracs = {}
+        for key, coef in terms.items():
+            coef = Fraction(coef)
+            if coef:
+                fracs[ctx._pack(key)] = coef
+        den = lcm(*(c.denominator for c in fracs.values()))
+        self.ctx, self._den, self._view = ctx, den, None
+        self._t = {k: c.numerator * (den // c.denominator) for k, c in fracs.items()}
+
+    @property
+    def terms(self) -> Mapping:
+        """Read-only {exponent tuple: Fraction} view, decoded once."""
+        if self._view is None:
+            unpack, den = self.ctx._unpack, self._den
+            self._view = MappingProxyType({unpack(k): Fraction(c, den) for k, c in self._t.items()})
+        return self._view
 
     @classmethod
     def zero(cls, ctx: VariableContext) -> "MPoly":
-        return cls(ctx, {})
+        return _make(ctx, {})
 
     @classmethod
     def const(cls, ctx: VariableContext, value) -> "MPoly":
         value = Fraction(value)
-        return cls(ctx, {ctx.zero_key(): value} if value else {})
+        if not value:
+            return _make(ctx, {})
+        return _make(ctx, {ctx._zero: value.numerator}, value.denominator)
 
     @classmethod
     def var(cls, ctx: VariableContext, name: str, exp: int = 1) -> "MPoly":
         i = ctx.index(name)
-        key = list(ctx.zero_key())
-        key[i] = exp
-        return cls(ctx, {tuple(key): Fraction(1)})
+        if not EXP_MIN <= exp <= EXP_MAX:
+            raise _out_of_range(exp)
+        return _make(ctx, {ctx._zero + exp * ctx._units[i]: 1})
 
     @classmethod
     def from_terms(cls, ctx: VariableContext, terms: Mapping) -> "MPoly":
-        return cls(ctx, _norm_terms(terms))
+        return cls(ctx, terms)
 
     # -- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._t
 
     def is_constant(self) -> bool:
-        return all(not any(k) for k in self.terms)
+        return not self._t or (len(self._t) == 1 and self.ctx._zero in self._t)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("not a constant: %s" % self)
-        return self.terms.get(self.ctx.zero_key(), Fraction(0))
+        return Fraction(self._t.get(self.ctx._zero, 0), self._den)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -134,23 +220,23 @@ class MPoly:
         if not isinstance(other, MPoly):
             other = MPoly.const(self.ctx, other)
         self._check(other)
-        terms = dict(self.terms)
-        for key, coef in other.terms.items():
-            acc = terms.get(key)
-            if acc is None:
-                terms[key] = coef
+        d1, d2 = self._den, other._den
+        den = d1 if d1 == d2 else lcm(d1, d2)
+        m1, m2 = den // d1, den // d2
+        terms = dict(self._t) if m1 == 1 else {k: c * m1 for k, c in self._t.items()}
+        get = terms.get
+        for key, coef in other._t.items():
+            acc = get(key, 0) + coef * m2
+            if acc:
+                terms[key] = acc
             else:
-                acc = acc + coef
-                if acc:
-                    terms[key] = acc
-                else:
-                    del terms[key]
-        return MPoly(self.ctx, terms)
+                del terms[key]
+        return _reduced(self.ctx, terms, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly(self.ctx, {k: -c for k, c in self.terms.items()})
+        return _make(self.ctx, {k: -c for k, c in self._t.items()}, self._den)
 
     def __sub__(self, other):
         if not isinstance(other, MPoly):
@@ -179,47 +265,47 @@ class MPoly:
         """
         self._check(other)
         ctx = self.ctx
-        cap = ctx.dim_cap
-        degrees = ctx.degrees
-        right = list(other.terms.items())
+        limit, bias = ctx._cap_limit, ctx._zero
+        right = list(other._t.items())
         if window is not None:
             i, lo, hi = window
-            right.sort(key=lambda kc: kc[0][i])
-            exps = [k[i] for k, _ in right]
+            s = ctx._shifts[i]
+            right.sort(key=lambda kc: (kc[0] >> s) & _MASK)
+            exps = [((k >> s) & _MASK) - _BIAS for k, _ in right]
         terms: dict = {}
-        for k1, c1 in self.terms.items():
+        get = terms.get
+        for k1, c1 in self._t.items():
             row = right
             if window is not None:
-                e1 = k1[i]
+                e1 = ((k1 >> s) & _MASK) - _BIAS
                 row = right[bisect_left(exps, lo - e1) : bisect_right(exps, hi - e1)]
+            k1 -= bias
             for k2, c2 in row:
-                key = tuple(a + b for a, b in zip(k1, k2))
-                if cap is not None:
-                    gdeg = sum(e * d for e, d in zip(key, degrees) if e)
-                    if gdeg > cap:
-                        continue
-                c = c1 * c2
-                acc = terms.get(key)
-                if acc is None:
-                    terms[key] = c
+                key = k1 + k2
+                if key >= limit:
+                    continue
+                acc = get(key, 0) + c1 * c2
+                if acc:
+                    terms[key] = acc
                 else:
-                    acc = acc + c
-                    if acc:
-                        terms[key] = acc
-                    else:
-                        del terms[key]
+                    del terms[key]
             if budget is not None and len(terms) > budget:
                 where = "" if window is None else " while eliminating %s" % ctx.names[window[0]]
                 raise TermBudgetExceeded(
                     "intermediate size %d exceeds budget %d%s" % (len(terms), budget, where)
                 )
-        return MPoly(ctx, terms)
+        in_range = ctx._in_range
+        for key in terms:
+            if ((key >> 1) ^ key) & in_range != in_range:
+                raise _out_of_range("in a product term %r" % (ctx._unpack(key),))
+        return _reduced(ctx, terms, self._den * other._den)
 
     def scale(self, value) -> "MPoly":
         value = Fraction(value)
         if not value:
             return MPoly.zero(self.ctx)
-        return MPoly(self.ctx, {k: c * value for k, c in self.terms.items()})
+        a = value.numerator
+        return _reduced(self.ctx, {k: c * a for k, c in self._t.items()}, self._den * value.denominator)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -243,7 +329,7 @@ class MPoly:
                 except (TypeError, ValueError):
                     return NotImplemented
             return NotImplemented
-        return self.ctx == other.ctx and self.terms == other.terms
+        return self.ctx == other.ctx and self._den == other._den and self._t == other._t
 
     __hash__ = None
 
@@ -251,20 +337,21 @@ class MPoly:
 
     def max_exponent(self, i: int) -> int:
         """Largest exponent of variable i present (0 for the zero poly)."""
-        return max((k[i] for k in self.terms), default=0)
+        s = self.ctx._shifts[i]
+        return max(((k >> s) & _MASK for k in self._t), default=_BIAS) - _BIAS
 
     def min_exponent(self, i: int) -> int:
-        return min((k[i] for k in self.terms), default=0)
+        s = self.ctx._shifts[i]
+        return min(((k >> s) & _MASK for k in self._t), default=_BIAS) - _BIAS
 
     def coefficient_of(self, i: int, exp: int) -> "MPoly":
         """Coefficient of names[i]^exp, with that variable slot zeroed."""
-        terms = {}
-        for key, coef in self.terms.items():
-            if key[i] == exp:
-                nk = list(key)
-                nk[i] = 0
-                terms[tuple(nk)] = coef
-        return MPoly(self.ctx, terms)
+        ctx = self.ctx
+        s, want = ctx._shifts[i], exp + _BIAS
+        # zeroing the slot also takes exp * degree out of the degree field
+        delta = exp * ctx._units[i]
+        terms = {k - delta: c for k, c in self._t.items() if (k >> s) & _MASK == want}
+        return _reduced(ctx, terms, self._den)
 
     def subs_num(self, assignment: Mapping) -> "MPoly":
         """Substitute rational values for a subset of variables."""
@@ -285,9 +372,8 @@ class MPoly:
             if not ok:
                 raise ZeroDivisionError("substituting 0 into a negative power")
             key2 = tuple(nk)
-            acc = terms.get(key2)
-            terms[key2] = c if acc is None else acc + c
-        return MPoly(self.ctx, {k: c for k, c in terms.items() if c})
+            terms[key2] = terms.get(key2, 0) + c
+        return MPoly(self.ctx, terms)
 
     def eval_at(self, assignment: Mapping) -> Fraction:
         out = self.subs_num(assignment)
@@ -363,7 +449,7 @@ def parse_poly(ctx: VariableContext, text: str) -> MPoly:
     tokens = list(_tokenize(text))
     if not tokens:
         raise ValueError("empty polynomial text")
-    out = MPoly.zero(ctx)
+    terms: dict = {}
     i = 0
     n = len(tokens)
     while i < n:
@@ -376,11 +462,10 @@ def parse_poly(ctx: VariableContext, text: str) -> MPoly:
             raise ValueError("dangling sign in %r" % text)
         coef = Fraction(sign)
         key = [0] * ctx.nvars
-        expect_factor = True
-        while i < n:
+        while True:
+            if i >= n:
+                raise ValueError("dangling * in %r" % text)
             kind, tok = tokens[i]
-            if kind == "op" and tok in "+-" and not expect_factor:
-                break
             if kind == "num":
                 val = Fraction(int(tok))
                 i += 1
@@ -408,12 +493,15 @@ def parse_poly(ctx: VariableContext, text: str) -> MPoly:
                 key[idx] += exp
             else:
                 raise ValueError("unexpected %r in %r" % (tok, text))
-            expect_factor = False
             if i < n and tokens[i] == ("op", "*"):
                 i += 1
-                expect_factor = True
-        out = out + MPoly.from_terms(ctx, {tuple(key): coef})
-    return out
+                continue
+            if i < n and tokens[i] not in (("op", "+"), ("op", "-")):
+                raise ValueError("missing * before %r in %r" % (tokens[i][1], text))
+            break
+        key = tuple(key)
+        terms[key] = terms.get(key, 0) + coef
+    return MPoly(ctx, terms)
 
 
 # -- linear forms ------------------------------------------------------

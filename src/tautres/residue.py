@@ -71,7 +71,6 @@ def expand_inverse_at_infinity(form: LinearForm, lower_cutoff: int, var: str | N
     a = form.z_coeffs[i]
     rest = form.as_poly() - MPoly.var(ctx, ctx.names[i]).scale(a)
     m = form.multiplicity
-    t_key = [0] * ctx.nvars
     out = MPoly.zero(ctx)
     rest_pow = MPoly.const(ctx, 1)
     j = 0
@@ -79,9 +78,7 @@ def expand_inverse_at_infinity(form: LinearForm, lower_cutoff: int, var: str | N
         coef = Fraction(comb(m + j - 1, j), 1) / a ** (m + j)
         if j % 2:
             coef = -coef
-        t_key[i] = -m - j
-        shift = MPoly(ctx, {tuple(t_key): coef})
-        out = out + shift * rest_pow
+        out = out + MPoly.var(ctx, ctx.names[i], -m - j).scale(coef) * rest_pow
         j += 1
         if -m - j >= lower_cutoff:
             rest_pow = rest_pow * rest
@@ -125,8 +122,9 @@ class ResidueProblem:
 
 def _outermost_variable(p: MPoly) -> int | None:
     """Largest contour index whose exponent is nonzero in some term of p."""
-    k = p.ctx.k
-    return max((i for key in p.terms for i in range(k) if key[i]), default=None)
+    return max(
+        (i for i in range(p.ctx.k) if p.max_exponent(i) or p.min_exponent(i)), default=None
+    )
 
 
 def iterated_residue(problem: ResidueProblem, term_budget: int = DEFAULT_TERM_BUDGET) -> MPoly:

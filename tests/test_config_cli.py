@@ -315,6 +315,22 @@ def test_cli_error_exits(tmp_path, capsys):
     assert exc.value.code == 2
     assert "not homogeneous" in capsys.readouterr().err
 
+    # a dual is a polynomial, and the severi epd is refused before the build
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ghilb", "--k", "2", "--q", "1:z1^-1"])
+    assert exc.value.code == 2
+    assert "negative exponent" in capsys.readouterr().err
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["severi", "--r", "3", "--epd", "z10^-1"])
+    assert exc.value.code == 2
+    assert "negative exponent" in capsys.readouterr().err
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ghilb", "--k", "2", "--phi", "c1*"])
+    assert exc.value.code == 2
+    assert "dangling *" in capsys.readouterr().err
+
     # zero denominators in config lines, --phi and --prefactor
     for section in ("numerator", "denominator"):
         zero = tmp_path / ("zero_%s.cfg" % section)

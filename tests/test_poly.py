@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tautres.poly import (
+    EXP_MAX,
+    EXP_MIN,
     LinearForm,
     MPoly,
     TermBudgetExceeded,
@@ -159,6 +161,13 @@ def test_parse_rejects_unknown_symbol_and_parens():
         parse_poly(CTX, "(z1 + z2)")
     with pytest.raises(ValueError, match="bad rational"):
         parse_poly(CTX, "z1 - 3/0")
+    # juxtaposed factors and a trailing * are not products
+    for text in ("2 3", "c1 c2", "z1^2 L"):
+        with pytest.raises(ValueError, match="missing \\*"):
+            parse_poly(CTX, text)
+    for text in ("c1*", "2*z1* + 1"):
+        with pytest.raises(ValueError):
+            parse_poly(CTX, text)
 
 
 @st.composite
@@ -196,6 +205,97 @@ def test_windowed_mul_is_the_product_cut_to_the_window(p, q, i, lo, width):
 @settings(max_examples=60, deadline=None)
 def test_format_parse_is_identity(p):
     assert parse_poly(CTX, format_poly(p)) == p
+
+
+# -- the packed kernel against a tuple/Fraction reference ----------------------
+
+CAPPED = VariableContext(
+    residue_vars=("z1", "z2"),
+    geometry=(("L", 1), ("c1", 1), ("c2", 2)),
+    dim_cap=2,
+)
+
+
+def reference_product(p, q, window=None):
+    """Sum of c1*c2 over all pairs of p.terms and q.terms, cut like the kernel."""
+    ctx = p.ctx
+    out = {}
+    for k1, c1 in p.terms.items():
+        for k2, c2 in q.terms.items():
+            key = tuple(a + b for a, b in zip(k1, k2))
+            if ctx.dim_cap is not None and ctx.geometry_degree(key) > ctx.dim_cap:
+                continue
+            if window is not None and not window[1] <= key[window[0]] <= window[2]:
+                continue
+            out[key] = out.get(key, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+@st.composite
+def capped_polys(draw):
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        key = tuple(draw(st.integers(-4, 4)) for _ in range(2)) + tuple(
+            draw(st.integers(0, 2)) for _ in range(3)
+        )
+        terms[key] = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 12)))
+    return MPoly(CAPPED, terms)
+
+
+windows = st.none() | st.tuples(st.integers(0, 1), st.integers(-8, 4), st.integers(0, 6)).map(
+    lambda w: (w[0], w[1], w[1] + w[2])
+)
+
+
+@given(capped_polys(), capped_polys(), windows)
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_the_reference_product(p, q, window):
+    assert p.mul(q, window=window, budget=None).terms == reference_product(p, q, window)
+
+
+@given(capped_polys())
+@settings(max_examples=60, deadline=None)
+def test_terms_round_trip(p):
+    assert MPoly(CAPPED, p.terms) == p
+
+
+@given(capped_polys(), st.integers(2, 4), st.integers(0, 2))
+@settings(max_examples=60, deadline=None)
+def test_coefficient_of_a_geometry_symbol_multiplies_back(p, slot, e):
+    # the degree field must lose e * deg(slot), or the cap would cut wrongly
+    name = CAPPED.names[slot]
+    back = p.coefficient_of(slot, e).mul(MPoly.var(CAPPED, name, e))
+    picked = MPoly(CAPPED, {k: c for k, c in p.terms.items() if k[slot] == e})
+    assert back.terms == reference_product(picked, MPoly.const(CAPPED, 1))
+
+
+def test_cancellation_gives_the_normal_zero():
+    z = MPoly.var(CAPPED, "z1")
+    p = Fraction(1, 2) + z.scale(Fraction(1, 3))
+    q = Fraction(1, 2) - z.scale(Fraction(1, 3))
+    # the z1^1 terms cancel; c1 * c2 lies above the cap
+    assert p.mul(q, window=(0, 1, 1)) == MPoly.zero(CAPPED)
+    p = p + MPoly.var(CAPPED, "L", 2).scale(Fraction(5, 7))
+    assert p - p == MPoly.zero(CAPPED)
+    assert MPoly.var(CAPPED, "c1").scale(Fraction(2, 3)) * MPoly.var(CAPPED, "c2") == MPoly.zero(CAPPED)
+    assert (p * q).mul(MPoly.zero(CAPPED)) == MPoly.zero(CAPPED)
+    assert p.scale(Fraction(3, 2)) + p.scale(Fraction(-3, 2)) == MPoly.zero(CAPPED)
+
+
+def test_exponent_out_of_range_raises_and_does_not_wrap():
+    top = MPoly.var(CTX, "z1", EXP_MAX)
+    assert top.max_exponent(0) == EXP_MAX and top.max_exponent(1) == 0
+    assert MPoly.var(CTX, "z1", EXP_MIN).min_exponent(0) == EXP_MIN
+    with pytest.raises(ValueError, match="packed range"):
+        top * V("z1")
+    with pytest.raises(ValueError, match="packed range"):
+        MPoly.var(CTX, "z1", EXP_MIN) * V("z1", -1)
+    with pytest.raises(ValueError, match="packed range"):
+        MPoly.var(CTX, "z2", EXP_MAX + 1)
+    with pytest.raises(ValueError, match="packed range"):
+        MPoly(CTX, {(0, EXP_MIN - 1, 0, 0, 0): 1})
+    with pytest.raises(ValueError, match="packed range"):
+        parse_poly(CTX, "z1^%d" % (EXP_MAX + 1))
 
 
 # -- linear forms -----------------------------------------------------------

@@ -156,6 +156,13 @@ def test_deferred_prefactors_fit_a_budget_an_up_front_fold_exceeds(filtration, b
     assert evaluate(problem, surface, term_budget=budget) == evaluate(problem, surface)
 
 
+def test_numerator_assembly_runs_under_the_term_budget(monkeypatch):
+    # the (2,3,1) numerator grows past 10,000 terms before any residue step
+    monkeypatch.setattr("tautres.assemble.DEFAULT_TERM_BUDGET", 10_000)
+    with pytest.raises(TermBudgetExceeded, match="while assembling the numerator$"):
+        assemble_punctual(AlgebraSpec(7, (2, 3, 1)), severi_bundle(), generic_surface(), "c2")
+
+
 def test_problem_validation():
     ctx = VariableContext(residue_vars=("z",), geometry=(("L", 1),))
     other = VariableContext(residue_vars=("z",))
