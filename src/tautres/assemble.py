@@ -13,6 +13,14 @@ copy of the geometry symbols.  Two cases are specializations of it:
     support algebras; each block is a Morin algebra with w(i) = i, its
     Q_m enters as the block epd, and the prefactor carries the sign.
 
+A partition's problem depends only on the data of its blocks in order:
+sum algebra, weights and collision dual.  Block names, geometry
+suffixes and dim_cap follow from block position and count.  Both
+builders therefore return the same ResidueProblem object for every
+partition with equal ordered block data, built once; for k points
+assemble_ghilb returns Bell(k) terms over 2^(k-1) problems, one per
+ordered block-size sequence.  Consumers may memoize by object identity.
+
 assemble_severi builds the nodal-curve counting problems by one rule for
 every r: box x^a*y^b weighs 3a + 5b, the contour follows the weights and
 the denominators are the same pair-sum forms a geometric subset gets.
@@ -291,7 +299,7 @@ def _sum_block(spec: GeometricSubsetSpec, block, power: int):
     weights = tuple(wmap[i] for i in range(1, m + 1))
     dual_text = spec.block_dual(block)
     dual = parse_poly(VariableContext(residue_vars=_block_names(1, 0, m)), dual_text)
-    if len(dual.terms) != 1:
+    if len(dual) != 1:
         raise ValueError("non-monomial dual %r unsupported" % dual_text)
     (key, coef), = dual.terms.items()
     return block_alg, weights, (tuple(-power - e for e in key), 1 / coef)
@@ -312,65 +320,73 @@ def assemble_geometric(
     numerator, the Laurent monomial (z_1...z_m)^(-n) / dual (n the
     surface dimension, dual the collision dual) and a Segre factor per
     variable.  Unknown collision duals raise; they are never invented.
+
+    A partition's problem depends only on its blocks' data in order: sum
+    algebra, weights and collision dual.  Partitions with equal ordered
+    block data get the same problem object, built once, so consumers may
+    memoize by object identity.
     """
-    s = len(spec.algebras)
     shared = {}  # a block's data is the same in every partition it occurs in
+    problems = {}  # ordered block data -> the one problem built for it
     out = []
-    for alpha in set_partitions(s):
-        t = len(alpha)
-        blocks = []
-        for l, block in enumerate(alpha):
+    for alpha in set_partitions(len(spec.algebras)):
+        for block in alpha:
             if block not in shared:
                 shared[block] = _sum_block(spec, block, surface.dim)
-            block_alg, weights, laurent = shared[block]
-            blocks.append((block_alg, _block_names(t, l, len(weights)), weights, laurent))
-
-        all_names = tuple(n for _, names, _, _ in blocks for n in names)
-        geometry = []
-        for l in range(t):
-            sfx = _copy_suffix(t, l)
-            geometry.extend((r, 1) for r in bundle.with_suffix(sfx).roots)
-            geometry.extend(surface.with_suffix(sfx).chern_symbols)
-        ctx = VariableContext(
-            residue_vars=all_names,
-            geometry=tuple(geometry),
-            dim_cap=surface.dim * t,
-        )
-
-        num = MPoly.const(ctx, 1)
-        forms = []
-        laurents = []
-        troots = []
-        for l, (block_alg, names, weights, (exps, coef)) in enumerate(blocks):
-            num = _difference_factors(num, names, weights)
-            if block_alg.epd:
-                epd = _parse_in_vars(ctx, block_alg.epd, names)
-                num = _num_mul(num, _check_epd(epd, "epd %r" % block_alg.epd))
-            forms.extend(_pair_sum_forms(ctx, names, weights))
-            if names or coef != 1:
-                key = [0] * ctx.nvars
-                for n, e in zip(names, exps):
-                    key[ctx.index(n)] = e
-                laurents.append(MPoly(ctx, {tuple(key): coef}))
-            sfx = _copy_suffix(t, l)
-            surf_l = surface.with_suffix(sfx)
-            laurents.extend(segre_factor(ctx, n, surf_l) for n in names)
-            offsets = [MPoly.var(ctx, n) for n in names]
-            troots.extend(twisted_roots(ctx, bundle.with_suffix(sfx), offsets))
-
-        num = _num_mul(num, _apply_phi(ctx, phi, troots))
-        out.append(
-            (
-                alpha,
-                ResidueProblem(
-                    ctx=ctx,
-                    numerator=num,
-                    denominator=tuple(forms),
-                    laurent_prefactors=tuple(laurents),
-                ),
-            )
-        )
+        key = tuple(shared[block] for block in alpha)
+        if key not in problems:
+            problems[key] = _partition_problem(key, bundle, surface, phi)
+        out.append((alpha, problems[key]))
     return out
+
+
+def _partition_problem(block_data, bundle, surface, phi) -> ResidueProblem:
+    """The problem of one partition, from its blocks' _sum_block data in order."""
+    t = len(block_data)
+    blocks = [
+        (block_alg, _block_names(t, l, len(weights)), weights, laurent)
+        for l, (block_alg, weights, laurent) in enumerate(block_data)
+    ]
+    all_names = tuple(n for _, names, _, _ in blocks for n in names)
+    geometry = []
+    for l in range(t):
+        sfx = _copy_suffix(t, l)
+        geometry.extend((r, 1) for r in bundle.with_suffix(sfx).roots)
+        geometry.extend(surface.with_suffix(sfx).chern_symbols)
+    ctx = VariableContext(
+        residue_vars=all_names,
+        geometry=tuple(geometry),
+        dim_cap=surface.dim * t,
+    )
+
+    num = MPoly.const(ctx, 1)
+    forms = []
+    laurents = []
+    troots = []
+    for l, (block_alg, names, weights, (exps, coef)) in enumerate(blocks):
+        num = _difference_factors(num, names, weights)
+        if block_alg.epd is not None:
+            epd = _parse_in_vars(ctx, block_alg.epd, names)
+            num = _num_mul(num, _check_epd(epd, "epd %r" % block_alg.epd))
+        forms.extend(_pair_sum_forms(ctx, names, weights))
+        if names or coef != 1:
+            key = [0] * ctx.nvars
+            for n, e in zip(names, exps):
+                key[ctx.index(n)] = e
+            laurents.append(MPoly(ctx, {tuple(key): coef}))
+        sfx = _copy_suffix(t, l)
+        surf_l = surface.with_suffix(sfx)
+        laurents.extend(segre_factor(ctx, n, surf_l) for n in names)
+        offsets = [MPoly.var(ctx, n) for n in names]
+        troots.extend(twisted_roots(ctx, bundle.with_suffix(sfx), offsets))
+
+    num = _num_mul(num, _apply_phi(ctx, phi, troots))
+    return ResidueProblem(
+        ctx=ctx,
+        numerator=num,
+        denominator=tuple(forms),
+        laurent_prefactors=tuple(laurents),
+    )
 
 
 def assemble_punctual(
@@ -406,6 +422,10 @@ def assemble_ghilb(
     denominator prod_{i+j<=l<=m}(z_i + z_j - z_l) * (z_1...z_m)^(n+1).
     The Q_m (m >= 1) are external inputs, homogeneous canonical text in
     z1..zm, default 1; each is the block epd of every block of size m+1.
+
+    One (partition, problem) per set partition, as assemble_geometric
+    gives them: partitions with equal ordered block sizes share one
+    signed problem object.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -418,11 +438,15 @@ def assemble_ghilb(
         for block in itertools.combinations(range(1, k + 1), m + 1)
     }
     spec = GeometricSubsetSpec((AlgebraSpec.trivial(),) * k, block_epds=block_epds)
-    return [
-        # the product of the per-block signs (-1)^m, m = |block| - 1
-        (alpha, replace(problem, prefactor=Fraction((-1) ** (k - len(alpha)))))
-        for alpha, problem in assemble_geometric(spec, bundle, surface, phi)
-    ]
+    signed = {}  # id of a shared problem -> its signed copy
+    out = []
+    for alpha, problem in assemble_geometric(spec, bundle, surface, phi):
+        if id(problem) not in signed:
+            # the product of the per-block signs (-1)^m, m = |block| - 1;
+            # the block count is fixed by the shared problem's block data
+            signed[id(problem)] = replace(problem, prefactor=Fraction((-1) ** (k - len(alpha))))
+        out.append((alpha, signed[id(problem)]))
+    return out
 
 
 # -- Severi problems -------------------------------------------------------
@@ -460,7 +484,7 @@ def assemble_severi(
 
     surface = surface or generic_surface()
     bundle = severi_bundle()
-    if r <= 2 and (epd or prefactor is not None):
+    if r <= 2 and (epd is not None or prefactor is not None):
         raise ValueError("r <= 2 problems are built in; epd/prefactor are fixed")
 
     # boxes (a, b) of x^a*y^b in the refined order: x^a, then x^b*y
@@ -476,7 +500,7 @@ def assemble_severi(
     )
 
     # the epd is checked before the numerator it joins is built
-    dual = _check_epd(parse_poly(ctx, epd), "epd") if epd else None
+    dual = _check_epd(parse_poly(ctx, epd), "epd") if epd is not None else None
     num = MPoly.const(ctx, 1)
     for a, b in itertools.combinations(refined_order, 2):
         num = _num_mul(num, MPoly.var(ctx, a) - MPoly.var(ctx, b))

@@ -52,23 +52,22 @@ def _emit_selection(sel: TopDegreeSelection) -> None:
         )
 
 
-def _emit_problem(problem) -> None:
+def _problem_lines(problem) -> list:
     ctx = problem.ctx
-    print(" ".join(("vars",) + ctx.names[: ctx.k]))
-    print("prefactor %s" % problem.prefactor)
-    if len(problem.numerator.terms) > 1000:
+    lines = [" ".join(("vars",) + ctx.names[: ctx.k]), "prefactor %s" % problem.prefactor]
+    if len(problem.numerator) > 1000:
         # expanded text would run to megabytes; the library holds the exact value
-        print("numerator <%d terms, expansion suppressed>" % len(problem.numerator.terms))
+        lines.append("numerator <%d terms, expansion suppressed>" % len(problem.numerator))
     else:
-        print("numerator %s" % format_poly(problem.numerator))
+        lines.append("numerator %s" % format_poly(problem.numerator))
     for f in problem.denominator:
         body = format_poly(f.as_poly())
         if f.multiplicity == 1:
-            print("denominator (%s)" % body)
+            lines.append("denominator (%s)" % body)
         else:
-            print("denominator (%s)^%d" % (body, f.multiplicity))
-    for p in problem.laurent_prefactors:
-        print("laurent %s" % format_poly(p))
+            lines.append("denominator (%s)^%d" % (body, f.multiplicity))
+    lines.extend("laurent %s" % format_poly(p) for p in problem.laurent_prefactors)
+    return lines
 
 
 def _cmd_eval(args) -> int:
@@ -89,7 +88,7 @@ def _cmd_severi(args) -> int:
     prefactor = parse_prefactor(args.prefactor) if args.prefactor else None
     problem = assemble_severi(r, epd=args.epd, prefactor=prefactor)
     if r > 2:
-        _emit_problem(problem)
+        print("\n".join(_problem_lines(problem)))
         if not args.evaluate:
             return 0
     sel = evaluate(problem, generic_surface())
@@ -117,14 +116,18 @@ def _cmd_ghilb(args) -> int:
     terms = assemble_ghilb(
         args.k, severi_bundle(), generic_surface(), args.phi, q_polys
     )
+    from .residue import iterated_residue
+
+    bodies = {}  # terms sharing a problem object share its text and residue
     for alpha, problem in terms:
+        if id(problem) not in bodies:
+            lines = _problem_lines(problem)
+            if args.evaluate:
+                lines.append("residue %s" % format_poly(iterated_residue(problem)))
+            bodies[id(problem)] = "\n".join(lines)
         label = "".join("{%s}" % ",".join(str(x) for x in blk) for blk in alpha)
         print("term %s" % label)
-        _emit_problem(problem)
-        if args.evaluate:
-            from .residue import iterated_residue
-
-            print("residue %s" % format_poly(iterated_residue(problem)))
+        print(bodies[id(problem)])
         print()
     return 0
 

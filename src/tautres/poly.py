@@ -199,6 +199,10 @@ class MPoly:
 
     # -- predicates ---------------------------------------------------
 
+    def __len__(self) -> int:
+        """Number of terms, read off the packed form without decoding it."""
+        return len(self._t)
+
     def is_zero(self) -> bool:
         return not self._t
 

@@ -1,5 +1,6 @@
 """Problem builders: punctual, geometric, point-component, and nodal-degree."""
 
+import hashlib
 from dataclasses import replace
 from fractions import Fraction
 
@@ -277,6 +278,58 @@ def test_ghilb_four_points_pinned_terms():
             "L_1*L_2 + L_1*L_3 + L_1*L_4 + L_2*L_3 + L_2*L_4 + L_3*L_4",
         ),
     ]
+
+
+def test_ghilb_terms_share_one_problem_per_block_size_sequence():
+    out = assemble_ghilb(5, severi_bundle(), SURFACE, phi="2*c2 - c1^2")
+    assert len(out) == 52
+    assert len({id(prob) for _, prob in out}) == 16  # 2^(k-1) block-size sequences
+    for alpha, prob in out:
+        for beta, other in out:
+            same_sizes = [len(b) for b in alpha] == [len(b) for b in beta]
+            assert (prob is other) == same_sizes
+
+
+def _digest(*texts):
+    return hashlib.sha256("\n".join(texts).encode()).hexdigest()[:16]
+
+
+def test_geometric_mixed_spec_pinned_terms():
+    # pins recorded before partitions shared problem objects; phi = c2^4
+    # leaves every residue nonzero.  Texts run to 135k characters, so each
+    # is pinned by a digest: (prefactor, numerator, laurents, residue)
+    triv = AlgebraSpec.trivial()
+    spec = GeometricSubsetSpec((triv, AlgebraSpec.morin(2), triv, triv))
+    out = assemble_geometric(spec, severi_bundle(), SURFACE, phi="c2^4")
+    got = [
+        (
+            alpha,
+            prob.prefactor,
+            _digest(format_poly(prob.numerator)),
+            _digest(*map(format_poly, prob.laurent_prefactors)),
+            _digest(format_poly(iterated_residue(prob))),
+        )
+        for alpha, prob in out
+    ]
+    assert got == [
+        (((1, 2, 3, 4),), 1, "ae4023603e5ff6bb", "f3fecac75acd8052", "0436ff53a1d88862"),
+        (((1, 2, 3), (4,)), 1, "5c6a6956e23acfe1", "b878342f2c4cdf41", "fada4fd1060f0017"),
+        (((1, 2, 4), (3,)), 1, "5c6a6956e23acfe1", "b878342f2c4cdf41", "fada4fd1060f0017"),
+        (((1, 2), (3, 4)), 1, "1752aade34353905", "7610d58504e25e36", "75c9f8a0ec97b980"),
+        (((1, 2), (3,), (4,)), 1, "f95e6779500f4064", "f1824d1a74e53810", "b9fcd7cbafa7ed24"),
+        (((1, 3, 4), (2,)), 1, "1752aade34353905", "a74a90cfc43ffd20", "f076d5381f11d6d3"),
+        (((1, 3), (2, 4)), 1, "a04c664fb267fcf7", "19cfc7cf9da6982c", "bd1304112c3242cf"),
+        (((1, 3), (2,), (4,)), 1, "7e86efe4bee509a5", "f830241995e6bdc7", "64fb0acd2440807e"),
+        (((1, 4), (2, 3)), 1, "a04c664fb267fcf7", "19cfc7cf9da6982c", "bd1304112c3242cf"),
+        (((1,), (2, 3, 4)), 1, "934c75b0b9f296b7", "6ac329b315cd7081", "9d2dfff1cf3e6360"),
+        (((1,), (2, 3), (4,)), 1, "66da84dc85aaf5aa", "4bc8782addefe966", "8c78bdfaca2b6253"),
+        (((1, 4), (2,), (3,)), 1, "7e86efe4bee509a5", "f830241995e6bdc7", "64fb0acd2440807e"),
+        (((1,), (2, 4), (3,)), 1, "66da84dc85aaf5aa", "4bc8782addefe966", "8c78bdfaca2b6253"),
+        (((1,), (2,), (3, 4)), 1, "d1dc6f5f1a87a0fd", "ba84b48de5005575", "ccb7718014b01d00"),
+        (((1,), (2,), (3,), (4,)), 1, "5bbb8172618f478e", "16000647af2c2bf1", "5d7232cb55a5d6ce"),
+    ]
+    assert len({id(prob) for _, prob in out}) == 11
+    assert all(format_poly(iterated_residue(prob)) != "0" for _, prob in out)
 
 
 def test_ghilb_rejects_bad_k():

@@ -1,5 +1,6 @@
 """Problem-config parsing and the command line front end."""
 
+import hashlib
 from fractions import Fraction
 from pathlib import Path
 
@@ -264,6 +265,16 @@ def test_cli_ghilb_two_points(capsys):
     assert "prefactor -1" in out
 
 
+def test_cli_ghilb_output_is_pinned(capsys):
+    # digest of the full stdout, recorded before terms shared problem objects
+    assert cli.main(["ghilb", "--k", "5", "--phi", "2*c2-c1^2", "--evaluate"]) == 0
+    out = capsys.readouterr().out
+    assert sum(line.startswith("term ") for line in out.splitlines()) == 52
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c0a6efce3b8380108a5667542aa3fe29a75deb797da1d08e44ac83d6958a6ac8"
+    )
+
+
 def test_cli_verify(capsys):
     assert cli.main(["verify"]) == 0
     out = lines(capsys)
@@ -309,6 +320,16 @@ def test_cli_error_exits(tmp_path, capsys):
         cli.main(["ghilb", "--k", "3", "--q", "0:z1"])
     assert exc.value.code == 2
     assert "m >= 1" in capsys.readouterr().err
+
+    # empty Q_m or epd text is an error, not the absent default
+    for argv in (
+        ["ghilb", "--k", "2", "--q", "1:"],
+        ["severi", "--r", "3", "--epd", ""],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "empty polynomial text" in capsys.readouterr().err
 
     with pytest.raises(SystemExit) as exc:
         cli.main(["ghilb", "--k", "3", "--q", "1:z1 + 1"])

@@ -257,6 +257,7 @@ def test_kernel_matches_the_reference_product(p, q, window):
 @settings(max_examples=60, deadline=None)
 def test_terms_round_trip(p):
     assert MPoly(CAPPED, p.terms) == p
+    assert len(p) == len(p.terms)
 
 
 @given(capped_polys(), st.integers(2, 4), st.integers(0, 2))
