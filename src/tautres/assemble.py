@@ -42,7 +42,6 @@ from __future__ import annotations
 import itertools
 import re
 import warnings
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .chern import (
@@ -67,11 +66,11 @@ from .diagrams import (
 )
 from .multidegree import balanced_dual_text, nakajima_dual
 from .poly import LinearForm, MPoly, TermBudgetExceeded, VariableContext, parse_poly
+from .record import Record, replace
 from .residue import DEFAULT_TERM_BUDGET, ResidueProblem, iterated_residue
 
 
-@dataclass(frozen=True)
-class AlgebraSpec:
+class AlgebraSpec(Record):
     """A finite local algebra through its filtration data.
 
     k: vector-space dimension of the algebra.
@@ -155,10 +154,11 @@ def normalize_phi(phi):
     return tuple((Fraction(c), dict(powers)) for c, powers in phi)
 
 
-def _apply_phi(ctx: VariableContext, phi, troots) -> MPoly:
+def _apply_phi(ctx: VariableContext, phi_terms, troots) -> MPoly:
+    """The normalized Chern polynomial phi_terms evaluated on troots."""
     cache: dict = {}
     total = MPoly.zero(ctx)
-    for coef, powers in normalize_phi(phi):
+    for coef, powers in phi_terms:
         term = MPoly.const(ctx, coef)
         for m, p in sorted(powers.items()):
             if m not in cache:
@@ -232,8 +232,7 @@ def _check_epd(p: MPoly, what: str) -> MPoly:
 # -- geometric subsets ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GeometricSubsetSpec:
+class GeometricSubsetSpec(Record):
     """Support algebras A_1..A_s plus optional overrides for merged blocks.
 
     block_epds: map from a frozenset block of indices to canonical text
@@ -326,21 +325,30 @@ def assemble_geometric(
     block data get the same problem object, built once, so consumers may
     memoize by object identity.
     """
+    phi_terms = normalize_phi(phi)
     shared = {}  # a block's data is the same in every partition it occurs in
+    by_content = {}  # blocks with equal algebras, epd and dual override share data
     problems = {}  # ordered block data -> the one problem built for it
     out = []
     for alpha in set_partitions(len(spec.algebras)):
         for block in alpha:
             if block not in shared:
-                shared[block] = _sum_block(spec, block, surface.dim)
+                content = (
+                    tuple(spec.algebras[x - 1] for x in block),
+                    spec.block_epd(block),
+                    spec.duals.get(frozenset(block)) if spec.duals else None,
+                )
+                if content not in by_content:
+                    by_content[content] = _sum_block(spec, block, surface.dim)
+                shared[block] = by_content[content]
         key = tuple(shared[block] for block in alpha)
         if key not in problems:
-            problems[key] = _partition_problem(key, bundle, surface, phi)
+            problems[key] = _partition_problem(key, bundle, surface, phi_terms)
         out.append((alpha, problems[key]))
     return out
 
 
-def _partition_problem(block_data, bundle, surface, phi) -> ResidueProblem:
+def _partition_problem(block_data, bundle, surface, phi_terms) -> ResidueProblem:
     """The problem of one partition, from its blocks' _sum_block data in order."""
     t = len(block_data)
     blocks = [
@@ -380,7 +388,7 @@ def _partition_problem(block_data, bundle, surface, phi) -> ResidueProblem:
         offsets = [MPoly.var(ctx, n) for n in names]
         troots.extend(twisted_roots(ctx, bundle.with_suffix(sfx), offsets))
 
-    num = _num_mul(num, _apply_phi(ctx, phi, troots))
+    num = _num_mul(num, _apply_phi(ctx, phi_terms, troots))
     return ResidueProblem(
         ctx=ctx,
         numerator=num,

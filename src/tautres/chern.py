@@ -9,14 +9,13 @@ products X^t, one set of geometry symbols per factor.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .poly import MPoly, VariableContext, format_poly, parse_poly
+from .record import Record, replace
 
 
-@dataclass(frozen=True)
-class BundleModel:
+class BundleModel(Record):
     rank: int
     roots: tuple  # geometry symbol names, degree 1 each
 
@@ -37,8 +36,7 @@ def _rename_symbols(text: str, mapping: dict) -> str:
     return re.sub(r"[A-Za-z_][A-Za-z0-9_]*", repl, text)
 
 
-@dataclass(frozen=True)
-class SurfaceModel:
+class SurfaceModel(Record):
     """An n-fold through its symbol data.
 
     segre_values: canonical text for s_1..s_n in the chern symbols.
@@ -131,8 +129,7 @@ def segre_factor(ctx: VariableContext, var_name: str, surface: SurfaceModel) -> 
     return out
 
 
-@dataclass(frozen=True)
-class TopDegreeSelection:
+class TopDegreeSelection(Record):
     """Degree-n coefficients over a fixed basis plus the off-degree rest."""
 
     coefficients: dict  # basis monomial text -> Fraction

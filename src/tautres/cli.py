@@ -85,6 +85,8 @@ def _cmd_severi(args) -> int:
         raise ConfigError("--r beyond 3 is impractical to expand exactly")
     if args.d is not None and r > 2:
         raise ConfigError("--d knows the pairing for r <= 2 only")
+    if args.d is not None and args.d < 1:
+        raise ConfigError("--d wants a plane curve degree >= 1, got %d" % args.d)
     prefactor = parse_prefactor(args.prefactor) if args.prefactor else None
     problem = assemble_severi(r, epd=args.epd, prefactor=prefactor)
     if r > 2:

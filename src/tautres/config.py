@@ -29,7 +29,6 @@ the bundle root ``L`` plus the surface's Chern symbols.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .chern import (
@@ -41,6 +40,7 @@ from .chern import (
     twisted_roots,
 )
 from .poly import MPoly, VariableContext, parse_linear_form, parse_poly, split_power
+from .record import Record
 from .residue import ResidueProblem
 
 
@@ -51,8 +51,7 @@ class ConfigError(ValueError):
 _SECTIONS = ("vars", "numerator", "denominator", "segre", "prefactor", "surface")
 
 
-@dataclass(frozen=True)
-class ProblemConfig:
+class ProblemConfig(Record):
     """Parsed but uninterpreted config; build_problem turns it into objects."""
 
     var_lines: tuple = ()

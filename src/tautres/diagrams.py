@@ -8,15 +8,15 @@ along the first axis).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import factorial
 from operator import mul
 
+from .record import Record
 
-@dataclass(frozen=True)
-class DiagramND:
+
+class DiagramND(Record):
     dim: int
     boxes: frozenset
 

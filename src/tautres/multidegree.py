@@ -15,11 +15,11 @@ exact MPoly values.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import reduce
 from operator import mul
 
 from .poly import MPoly
+from .record import Record
 
 
 def _minimal_generators(gens):
@@ -33,8 +33,7 @@ def _minimal_generators(gens):
     return tuple(sorted(out))
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(Record):
     num_vars: int
     generators: tuple  # exponent vectors, minimalized on construction
     weights: tuple  # one weight value (MPoly or number) per variable

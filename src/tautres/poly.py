@@ -30,11 +30,12 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Mapping
+
+from .record import Record
 
 Key = tuple  # dense exponent vector, one slot per context variable
 
@@ -58,8 +59,7 @@ def _out_of_range(value) -> ValueError:
     return ValueError("exponent %s outside the packed range [%d, %d]" % (value, EXP_MIN, EXP_MAX))
 
 
-@dataclass(frozen=True)
-class VariableContext:
+class VariableContext(Record):
     """Fixed-order variable namespace.
 
     residue_vars: contour order, position i means |z_i| << |z_{i+1}|.
@@ -392,41 +392,41 @@ class MPoly:
 # -- canonical text form ----------------------------------------------
 
 
-def _term_sort_key(key: Key):
-    total = sum(key)
-    nz = tuple((i, -e) for i, e in enumerate(key) if e)
-    return (-total, nz)
-
-
-def _format_coef(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else "%d/%d" % (c.numerator, c.denominator)
+def _term_sort_key(row):
+    key = row[0]
+    return (-sum(key), tuple((i, -e) for i, e in enumerate(key) if e))
 
 
 def format_poly(p: MPoly) -> str:
-    """Render in the canonical text form, e.g. ``3*L^2 + 2*L*c1 + c2``."""
-    if not p.terms:
+    """Render in the canonical text form, e.g. ``3*L^2 + 2*L*c1 + c2``.
+
+    Reads the packed terms: each key is unpacked once, for the term order
+    and the factors, and each integer coefficient is reduced against the
+    polynomial's denominator.
+    """
+    if not p._t:
         return "0"
+    ctx, den = p.ctx, p._den
+    names, unpack = ctx.names, ctx._unpack
+    rows = sorted(((unpack(k), c) for k, c in p._t.items()), key=_term_sort_key)
     chunks = []
-    for key in sorted(p.terms, key=_term_sort_key):
-        coef = p.terms[key]
-        factors = []
-        for i, e in enumerate(key):
-            if not e:
-                continue
-            name = p.ctx.names[i]
-            factors.append(name if e == 1 else "%s^%d" % (name, e))
-        mono = "*".join(factors)
-        acoef = -coef if coef < 0 else coef
+    for key, c in rows:
+        mono = "*".join(
+            names[i] if e == 1 else "%s^%d" % (names[i], e) for i, e in enumerate(key) if e
+        )
+        num = -c if c < 0 else c
+        g = gcd(num, den)
+        coef = "%d" % (num // g) if g == den else "%d/%d" % (num // g, den // g)
         if not mono:
-            body = _format_coef(acoef)
-        elif acoef == 1:
+            body = coef
+        elif coef == "1":
             body = mono
         else:
-            body = "%s*%s" % (_format_coef(acoef), mono)
+            body = "%s*%s" % (coef, mono)
         if not chunks:
-            chunks.append(body if coef > 0 else "-" + body)
+            chunks.append(body if c > 0 else "-" + body)
         else:
-            chunks.append(("+ " if coef > 0 else "- ") + body)
+            chunks.append(("+ " if c > 0 else "- ") + body)
     return " ".join(chunks)
 
 
@@ -511,8 +511,7 @@ def parse_poly(ctx: VariableContext, text: str) -> MPoly:
 # -- linear forms ------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class LinearForm:
+class LinearForm(Record):
     """A denominator (or numerator) factor Sum a_i z_i + const, with multiplicity.
 
     The constant part is a polynomial in geometry symbols only.  At least

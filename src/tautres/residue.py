@@ -31,18 +31,17 @@ products does not change the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from .poly import LinearForm, MPoly, TermBudgetExceeded, VariableContext
+from .record import Record
 
 
 DEFAULT_TERM_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True)
-class Expansion:
+class Expansion(Record):
     """Truncated Laurent tail of 1/form^mult in one variable.
 
     poly holds exponents of ``var`` in [floor, -mult]; everything below
@@ -87,8 +86,7 @@ def expand_inverse_at_infinity(form: LinearForm, lower_cutoff: int, var: str | N
     return Expansion(out, i, lower_cutoff)
 
 
-@dataclass(frozen=True)
-class ResidueProblem:
+class ResidueProblem(Record):
     """A fully assembled iterated-residue integrand.
 
     numerator: polynomial part (may involve geometry symbols).

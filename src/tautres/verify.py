@@ -16,7 +16,6 @@ import itertools
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .assemble import (
@@ -38,6 +37,7 @@ from .diagrams import (
 )
 from .multidegree import MonomialIdeal, codimension, multidegree
 from .poly import LinearForm, MPoly, VariableContext, format_poly, parse_poly
+from .record import Record
 from .residue import ResidueProblem, iterated_residue
 
 A1_COEFFS = {"L^2": Fraction(3), "L*c1": Fraction(2), "c1^2": Fraction(0), "c2": Fraction(1)}
@@ -49,8 +49,7 @@ A2_COEFFS = {
 }
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(Record):
     name: str
     passed: bool
     detail: str

@@ -1,7 +1,6 @@
 """Problem builders: punctual, geometric, point-component, and nodal-degree."""
 
 import hashlib
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -22,6 +21,7 @@ from tautres.assemble import (
 from tautres.chern import elementary_symmetric, generic_surface, twisted_roots
 from tautres.diagrams import from_partition
 from tautres.poly import MPoly, format_poly, parse_poly
+from tautres.record import replace
 from tautres.residue import iterated_residue
 
 

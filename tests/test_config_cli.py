@@ -1,6 +1,9 @@
 """Problem-config parsing and the command line front end."""
 
 import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +22,7 @@ from tautres.poly import MPoly
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 # -- parsing ------------------------------------------------------------------
@@ -239,6 +243,31 @@ def test_cli_severi_pairing_beyond_two_fails_before_building(capsys, monkeypatch
         cli.main(["severi", "--r", "3", "--d", "4"])
     assert exc.value.code == 2
     assert "r <= 2 only" in capsys.readouterr().err
+
+
+def test_cli_severi_rejects_nonpositive_degree(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("assemble_severi called")
+
+    monkeypatch.setattr(cli, "assemble_severi", refuse)
+    for d in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["severi", "--r", "2", "--d", d])
+        assert exc.value.code == 2
+        assert "degree >= 1, got %s" % d in capsys.readouterr().err
+
+
+def test_cli_import_stays_light():
+    # dataclasses pulls in inspect, ast, dis and tokenize: a fifth of a fresh call
+    code = (
+        "import sys; before = set(sys.modules); import tautres.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_cli_eval_config(capsys):
