@@ -5,7 +5,13 @@ a geometric subset, support algebras A_1..A_s, and returns one problem
 per set partition of the support; each block stands for the sum algebra
 of its points and brings its difference factors, pair-sum denominators,
 epd, Laurent monomial (z_1...z_m)^(-n) / dual, Segre factors and its own
-copy of the geometry symbols.  Two cases are specializations of it:
+copy of the geometry symbols.  Blocks share no variable, so each distinct
+block is built once per call, in a block-local context (z1..zm and one
+unsuffixed copy of the geometry), and a partition's problem places its
+blocks' pieces into the joint context by slot map (MPoly.relabel).  The
+bundle's Chern classes enter by the Whitney sum over the blocks, c(L^[k])
+being the product of the blocks' total Chern classes.  Two cases are
+specializations of it:
 
   * assemble_punctual: the punctual subset of one algebra, a geometric
     subset with a single support point.
@@ -20,6 +26,8 @@ builders therefore return the same ResidueProblem object for every
 partition with equal ordered block data, built once; for k points
 assemble_ghilb returns Bell(k) terms over 2^(k-1) problems, one per
 ordered block-size sequence.  Consumers may memoize by object identity.
+A support with more set partitions than DEFAULT_TERM_BUDGET is refused
+before any is enumerated.
 
 assemble_severi builds the nodal-curve counting problems by one rule for
 every r: box x^a*y^b weighs 3a + 5b, the contour follows the weights and
@@ -31,10 +39,11 @@ Difference-factor convention: the numerator takes one factor (z_i - z_j)
 for every ordered pair i != j with w(i) <= w(j).  Equal weights thus
 contribute -(z_i - z_j)^2, strictly increasing weights a single factor.
 
-Every numerator product (difference factors, epd, phi) runs under
-DEFAULT_TERM_BUDGET, the budget iterated_residue uses, and a
-TermBudgetExceeded raised there says it was raised while assembling the
-numerator.
+Every assembly product (difference factors, epd, Chern classes and
+their powers, Segre factors, the Whitney sum and phi) runs under
+DEFAULT_TERM_BUDGET, the budget iterated_residue uses; a
+TermBudgetExceeded raised by a product into the numerator says it was
+raised while assembling the numerator.
 """
 
 from __future__ import annotations
@@ -43,13 +52,14 @@ import itertools
 import re
 import warnings
 from fractions import Fraction
+from functools import reduce
 
 from .chern import (
     BundleModel,
     SURFACE_BASIS,
     SurfaceModel,
     TopDegreeSelection,
-    _rename_symbols,
+    chern_classes,
     elementary_symmetric,
     segre_factor,
     select_top_degree,
@@ -154,18 +164,26 @@ def normalize_phi(phi):
     return tuple((Fraction(c), dict(powers)) for c, powers in phi)
 
 
-def _apply_phi(ctx: VariableContext, phi_terms, troots) -> MPoly:
-    """The normalized Chern polynomial phi_terms evaluated on troots."""
-    cache: dict = {}
+def _apply_phi(ctx: VariableContext, phi_terms, chern) -> MPoly:
+    """The normalized Chern polynomial phi_terms at the classes chern[m] = c_m."""
     total = MPoly.zero(ctx)
     for coef, powers in phi_terms:
         term = MPoly.const(ctx, coef)
         for m, p in sorted(powers.items()):
-            if m not in cache:
-                cache[m] = elementary_symmetric(m, troots)
-            term = _num_mul(term, cache[m] ** p)
+            term = _num_mul(term, chern[m].pow(p, budget=DEFAULT_TERM_BUDGET))
         total = total + term
     return total
+
+
+def _whitney(total: list, block: list) -> list:
+    """c_0..c_d of a direct sum from those of its summands: c(E + F) = c(E) c(F)."""
+    out = []
+    for j in range(len(total)):
+        c = total[j]  # times c_0(F) = 1
+        for b in range(1, j + 1):
+            c = c + _num_mul(total[j - b], block[b])
+        out.append(c)
+    return out
 
 
 # -- shared factor builders ----------------------------------------------
@@ -188,21 +206,26 @@ def _difference_factors(num: MPoly, names, weights) -> MPoly:
     return num
 
 
-def _pair_sum_forms(ctx: VariableContext, names, weights):
-    """LinearForms z_i + z_j - z_m for i <= j and w(i) + w(j) <= w(m)."""
+def _pair_sums(weights) -> tuple:
+    """Index triples (i, j, m) of the forms z_i + z_j - z_m, i <= j, w(i) + w(j) <= w(m)."""
+    k = len(weights)
+    return tuple(
+        (i, j, m)
+        for i in range(k)
+        for j in range(i, k)
+        for m in range(k)
+        if weights[i] + weights[j] <= weights[m]
+    )
+
+
+def _pair_sum_forms(ctx: VariableContext, slots, triples) -> list:
+    """The LinearForms of pair-sum triples, variable i of a triple in ctx slot slots[i]."""
     forms = []
-    k = len(names)
-    for i in range(k):
-        for j in range(i, k):
-            for m in range(k):
-                if weights[i] + weights[j] <= weights[m]:
-                    coeffs = [Fraction(0)] * ctx.k
-                    coeffs[ctx.index(names[i])] += 1
-                    coeffs[ctx.index(names[j])] += 1
-                    coeffs[ctx.index(names[m])] -= 1
-                    forms.append(
-                        LinearForm(ctx, tuple(coeffs), MPoly.zero(ctx), 1)
-                    )
+    for triple in triples:
+        coeffs = [Fraction(0)] * ctx.k
+        for i, a in zip(triple, (1, 1, -1)):
+            coeffs[slots[i]] += a
+        forms.append(LinearForm(ctx, tuple(coeffs), MPoly.zero(ctx), 1))
     return forms
 
 
@@ -211,12 +234,6 @@ def _monomial_inverse(ctx: VariableContext, names, power: int) -> MPoly:
     for n in names:
         key[ctx.index(n)] -= power
     return MPoly(ctx, {tuple(key): Fraction(1)})
-
-
-def _parse_in_vars(ctx: VariableContext, text: str, names) -> MPoly:
-    """Parse text written in z1..zm, mapped onto the given variable names."""
-    mapping = {"z%d" % (i + 1): n for i, n in enumerate(names)}
-    return parse_poly(ctx, _rename_symbols(text, mapping))
 
 
 def _check_epd(p: MPoly, what: str) -> MPoly:
@@ -275,10 +292,6 @@ def _block_names(t: int, block_index: int, m: int):
     return tuple("b%dz%d" % (block_index + 1, i) for i in range(1, m + 1))
 
 
-def _copy_suffix(t: int, block_index: int) -> str:
-    return "" if t == 1 else "_%d" % (block_index + 1)
-
-
 def _sum_block(spec: GeometricSubsetSpec, block, power: int):
     """Sum algebra, filtration weights and Laurent monomial of one block.
 
@@ -304,6 +317,72 @@ def _sum_block(spec: GeometricSubsetSpec, block, power: int):
     return block_alg, weights, (tuple(-power - e for e in key), 1 / coef)
 
 
+class _BlockPieces(Record):
+    """One block's share of every problem it occurs in, in its own context.
+
+    ctx: residue variables z1..zm and one unsuffixed copy of the bundle
+        and surface symbols.
+    numerator: the difference-factor product times the block epd.
+    pair_sums: index triples of the pair-sum denominators.
+    laurents: the Laurent monomial, when not 1, then one Segre factor
+        per variable.
+    chern: c_0..c_d of the block's twisted roots, d the largest Chern
+        index in phi.
+    """
+
+    ctx: VariableContext
+    numerator: MPoly
+    pair_sums: tuple
+    laurents: tuple
+    chern: list
+
+
+def _block_pieces(block_data, bundle, surface, d: int, whole: bool) -> _BlockPieces:
+    """Build the pieces of one block from its _sum_block data.
+
+    The block of the whole support occurs only in the one-block
+    partition, whose context is this block-local one: it gets that
+    problem's dim_cap and its pieces enter the problem as they are.  Any
+    other block occurs only beside others, so its context has no cap and
+    MPoly.relabel cuts its pieces to the joint one.
+    """
+    block_alg, weights, (exps, coef) = block_data
+    names = _block_names(1, 0, len(weights))
+    geometry = tuple((r, 1) for r in bundle.roots) + tuple(surface.chern_symbols)
+    ctx = VariableContext(names, geometry, surface.dim if whole else None)
+    num = _difference_factors(MPoly.const(ctx, 1), names, weights)
+    if block_alg.epd is not None:
+        epd = parse_poly(ctx, block_alg.epd)
+        num = _num_mul(num, _check_epd(epd, "epd %r" % block_alg.epd))
+    laurents = []
+    if names or coef != 1:
+        laurents.append(MPoly(ctx, {exps + (0,) * len(geometry): coef}))
+    laurents.extend(segre_factor(ctx, n, surface, budget=DEFAULT_TERM_BUDGET) for n in names)
+    roots = twisted_roots(ctx, bundle, [MPoly.var(ctx, n) for n in names])
+    chern = chern_classes(ctx, roots, d, budget=DEFAULT_TERM_BUDGET)
+    return _BlockPieces(ctx, num, _pair_sums(weights), tuple(laurents), chern)
+
+
+def _check_partition_count(s: int) -> None:
+    """Refuse a support of s points with more set partitions than the budget.
+
+    Row n of the Bell triangle ends in Bell(n + 1), and the rows grow, so
+    the count stops at the first row over DEFAULT_TERM_BUDGET.
+    """
+    row = [1]
+    while len(row) < s:
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+        if row[-1] > DEFAULT_TERM_BUDGET:
+            raise TermBudgetExceeded(
+                "a support of %d points has %s%d set partitions, more than the "
+                "term budget %d, while assembling the problems"
+                % (s, "" if len(row) == s else "at least ", row[-1], DEFAULT_TERM_BUDGET)
+            )
+
+
 def assemble_geometric(
     spec: GeometricSubsetSpec,
     bundle: BundleModel,
@@ -320,75 +399,85 @@ def assemble_geometric(
     surface dimension, dual the collision dual) and a Segre factor per
     variable.  Unknown collision duals raise; they are never invented.
 
-    A partition's problem depends only on its blocks' data in order: sum
-    algebra, weights and collision dual.  Partitions with equal ordered
-    block data get the same problem object, built once, so consumers may
-    memoize by object identity.
+    Each distinct block is built once, in a block-local context (see
+    _block_pieces), and a partition's problem is assembled from its
+    blocks' pieces.  A partition's problem depends only on its blocks'
+    data in order: sum algebra, weights and collision dual.  Partitions
+    with equal ordered block data get the same problem object, built
+    once, so consumers may memoize by object identity.
+
+    A support with more set partitions than DEFAULT_TERM_BUDGET raises
+    TermBudgetExceeded before any partition is enumerated.
     """
+    s = len(spec.algebras)
+    _check_partition_count(s)
     phi_terms = normalize_phi(phi)
-    shared = {}  # a block's data is the same in every partition it occurs in
-    by_content = {}  # blocks with equal algebras, epd and dual override share data
-    problems = {}  # ordered block data -> the one problem built for it
+    d = max((m for _, powers in phi_terms for m in powers), default=0)
+    index = {}  # support block -> index of its pieces
+    by_content = {}  # blocks with equal algebras, epd and dual override share pieces
+    by_data = {}  # blocks with equal _sum_block data share pieces
+    pieces = []
+    problems = {}  # tuple of piece indices -> the one problem built for it
     out = []
-    for alpha in set_partitions(len(spec.algebras)):
+    for alpha in set_partitions(s):
         for block in alpha:
-            if block not in shared:
+            if block not in index:
                 content = (
                     tuple(spec.algebras[x - 1] for x in block),
                     spec.block_epd(block),
                     spec.duals.get(frozenset(block)) if spec.duals else None,
                 )
-                if content not in by_content:
-                    by_content[content] = _sum_block(spec, block, surface.dim)
-                shared[block] = by_content[content]
-        key = tuple(shared[block] for block in alpha)
+                i = by_content.get(content)
+                if i is None:
+                    data = _sum_block(spec, block, surface.dim)
+                    i = by_data.get(data)
+                    if i is None:
+                        i = by_data[data] = len(pieces)
+                        pieces.append(_block_pieces(data, bundle, surface, d, len(block) == s))
+                    by_content[content] = i
+                index[block] = i
+        key = tuple(index[block] for block in alpha)
         if key not in problems:
-            problems[key] = _partition_problem(key, bundle, surface, phi_terms)
+            problems[key] = _partition_problem([pieces[i] for i in key], phi_terms, surface.dim)
         out.append((alpha, problems[key]))
     return out
 
 
-def _partition_problem(block_data, bundle, surface, phi_terms) -> ResidueProblem:
-    """The problem of one partition, from its blocks' _sum_block data in order."""
-    t = len(block_data)
-    blocks = [
-        (block_alg, _block_names(t, l, len(weights)), weights, laurent)
-        for l, (block_alg, weights, laurent) in enumerate(block_data)
-    ]
-    all_names = tuple(n for _, names, _, _ in blocks for n in names)
-    geometry = []
-    for l in range(t):
-        sfx = _copy_suffix(t, l)
-        geometry.extend((r, 1) for r in bundle.with_suffix(sfx).roots)
-        geometry.extend(surface.with_suffix(sfx).chern_symbols)
-    ctx = VariableContext(
-        residue_vars=all_names,
-        geometry=tuple(geometry),
-        dim_cap=surface.dim * t,
-    )
+def _partition_problem(pieces, phi_terms, dim: int) -> ResidueProblem:
+    """The problem of one partition, from its blocks' pieces in order.
 
-    num = MPoly.const(ctx, 1)
-    forms = []
-    laurents = []
-    troots = []
-    for l, (block_alg, names, weights, (exps, coef)) in enumerate(blocks):
-        num = _difference_factors(num, names, weights)
-        if block_alg.epd is not None:
-            epd = _parse_in_vars(ctx, block_alg.epd, names)
-            num = _num_mul(num, _check_epd(epd, "epd %r" % block_alg.epd))
-        forms.extend(_pair_sum_forms(ctx, names, weights))
-        if names or coef != 1:
-            key = [0] * ctx.nvars
-            for n, e in zip(names, exps):
-                key[ctx.index(n)] = e
-            laurents.append(MPoly(ctx, {tuple(key): coef}))
-        sfx = _copy_suffix(t, l)
-        surf_l = surface.with_suffix(sfx)
-        laurents.extend(segre_factor(ctx, n, surf_l) for n in names)
-        offsets = [MPoly.var(ctx, n) for n in names]
-        troots.extend(twisted_roots(ctx, bundle.with_suffix(sfx), offsets))
+    A one-block partition's context is its block's own, so the pieces
+    enter as built.  Otherwise block l gets the residue names b<l>z1..,
+    after the earlier blocks', and the geometry copy suffixed _<l>; the
+    joint dim_cap is dim times the block count, and MPoly.relabel places
+    each piece by that slot map.  The bundle's Chern classes are the
+    Whitney sum over the blocks.
+    """
+    t = len(pieces)
+    if t == 1:
+        ctx = pieces[0].ctx
+        slot_maps = [range(ctx.nvars)]
+    else:
+        names = [_block_names(t, l, p.ctx.k) for l, p in enumerate(pieces)]
+        copies = [
+            tuple((n + "_%d" % (l + 1), deg) for n, deg in p.ctx.geometry)
+            for l, p in enumerate(pieces)
+        ]
+        ctx = VariableContext(sum(names, ()), sum(copies, ()), dim * t)
+        slot_maps = [
+            [ctx.index(n) for n in zs + tuple(n for n, _ in copy)]
+            for zs, copy in zip(names, copies)
+        ]
 
-    num = _num_mul(num, _apply_phi(ctx, phi_terms, troots))
+    def place(poly, slots):
+        return poly if t == 1 else poly.relabel(ctx, slots)
+
+    blocks = list(zip(pieces, slot_maps))
+    forms = [f for p, slots in blocks for f in _pair_sum_forms(ctx, slots, p.pair_sums)]
+    laurents = [place(f, slots) for p, slots in blocks for f in p.laurents]
+    num = reduce(_num_mul, [place(p.numerator, slots) for p, slots in blocks])
+    chern = reduce(_whitney, [[place(c, slots) for c in p.chern] for p, slots in blocks])
+    num = _num_mul(num, _apply_phi(ctx, phi_terms, chern))
     return ResidueProblem(
         ctx=ctx,
         numerator=num,
@@ -440,6 +529,7 @@ def assemble_ghilb(
     q_polys = q_polys or {}
     if any(m < 1 for m in q_polys):
         raise ValueError("Q_m needs m >= 1: a single point has no variables")
+    _check_partition_count(k)  # before the Q_m blocks are listed
     block_epds = {
         frozenset(block): text
         for m, text in q_polys.items()
@@ -517,8 +607,10 @@ def assemble_severi(
         # one-node integrand carries it squared
         num = _num_mul(num, MPoly.var(ctx, "z10") - MPoly.var(ctx, "z01"))
     offsets = [MPoly.var(ctx, n) for n in refined_order]
-    num = _num_mul(num, elementary_symmetric(2 * r, twisted_roots(ctx, bundle, offsets)))
-    forms = _pair_sum_forms(ctx, contour, [weight[n] for n in contour])
+    roots = twisted_roots(ctx, bundle, offsets)
+    num = _num_mul(num, elementary_symmetric(2 * r, roots, budget=DEFAULT_TERM_BUDGET))
+    # the contour is the context's residue order
+    forms = _pair_sum_forms(ctx, range(ctx.k), _pair_sums([weight[n] for n in contour]))
 
     if r > 2:
         if dual is not None:
@@ -534,7 +626,9 @@ def assemble_severi(
     if small:
         laurents.append(_monomial_inverse(ctx, small, 1))
     laurents.append(_monomial_inverse(ctx, refined_order, 2))
-    laurents.extend(segre_factor(ctx, n, surface) for n in refined_order)
+    laurents.extend(
+        segre_factor(ctx, n, surface, budget=DEFAULT_TERM_BUDGET) for n in refined_order
+    )
 
     if r <= 2:
         pref = SEVERI_PREFACTOR[r]

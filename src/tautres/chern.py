@@ -2,13 +2,11 @@
 Segre factors, and top-degree selection (the "integration" step).
 
 Bundle and surface models are plain data: symbol names, degrees, and
-the Segre values as canonical polynomial text.  Copy suffixes support
-products X^t, one set of geometry symbols per factor.
+the Segre values as canonical polynomial text.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 
 from .poly import MPoly, VariableContext, format_poly, parse_poly
@@ -22,18 +20,6 @@ class BundleModel(Record):
     def __post_init__(self):
         if len(self.roots) != self.rank:
             raise ValueError("rank/root count mismatch")
-
-    def with_suffix(self, suffix: str) -> "BundleModel":
-        if not suffix:
-            return self
-        return BundleModel(self.rank, tuple(r + suffix for r in self.roots))
-
-
-def _rename_symbols(text: str, mapping: dict) -> str:
-    def repl(m):
-        return mapping.get(m.group(0), m.group(0))
-
-    return re.sub(r"[A-Za-z_][A-Za-z0-9_]*", repl, text)
 
 
 class SurfaceModel(Record):
@@ -53,18 +39,6 @@ class SurfaceModel(Record):
     def __post_init__(self):
         if len(self.segre_values) != self.dim:
             raise ValueError("need s_1..s_%d" % self.dim)
-
-    def with_suffix(self, suffix: str) -> "SurfaceModel":
-        if not suffix:
-            return self
-        mapping = {n: n + suffix for n, _ in self.chern_symbols}
-        return SurfaceModel(
-            self.name + suffix,
-            self.dim,
-            tuple((n + suffix, d) for n, d in self.chern_symbols),
-            tuple(_rename_symbols(t, mapping) for t in self.segre_values),
-            None,
-        )
 
 
 def generic_surface() -> SurfaceModel:
@@ -105,27 +79,36 @@ def twisted_roots(ctx: VariableContext, bundle: BundleModel, offsets) -> list:
     return out
 
 
-def elementary_symmetric(m: int, roots) -> MPoly:
+def chern_classes(ctx: VariableContext, roots, d: int, budget: int | None = None) -> list:
+    """[e_0, ..., e_d] of the roots (MPoly values in ctx), in one pass.
+
+    These are c_0..c_d of a bundle with those Chern roots.  budget caps
+    each product as in MPoly.mul.
+    """
+    e = [MPoly.const(ctx, 1)] + [MPoly.zero(ctx)] * d
+    for n, root in enumerate(roots, start=1):
+        # e_j of the first n roots is zero for j > n
+        for j in range(min(d, n), 0, -1):
+            e[j] = e[j] + e[j - 1].mul(root, budget=budget)
+    return e
+
+
+def elementary_symmetric(m: int, roots, budget: int | None = None) -> MPoly:
     roots = list(roots)
     if m < 0:
         raise ValueError("e_%d undefined" % m)
-    ctx = roots[0].ctx if roots else None
-    if ctx is None:
+    if not roots:
         raise ValueError("need at least one root to fix the context")
-    if m > len(roots):
-        return MPoly.zero(ctx)  # no square-free monomial of that degree
-    e = [MPoly.const(ctx, 1)] + [MPoly.zero(ctx) for _ in range(m)]
-    for root in roots:
-        for j in range(min(m, len(e) - 1), 0, -1):
-            e[j] = e[j] + e[j - 1] * root
-    return e[m]
+    return chern_classes(roots[0].ctx, roots, m, budget)[m]
 
 
-def segre_factor(ctx: VariableContext, var_name: str, surface: SurfaceModel) -> MPoly:
+def segre_factor(
+    ctx: VariableContext, var_name: str, surface: SurfaceModel, budget: int | None = None
+) -> MPoly:
     """Total Segre factor 1 + s_1/z + ... + s_n/z^n as a Laurent MPoly."""
     out = MPoly.const(ctx, 1)
     for i, text in enumerate(surface.segre_values, start=1):
-        out = out + parse_poly(ctx, text) * MPoly.var(ctx, var_name, -i)
+        out = out + parse_poly(ctx, text).mul(MPoly.var(ctx, var_name, -i), budget=budget)
     return out
 
 

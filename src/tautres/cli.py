@@ -37,7 +37,7 @@ from .chern import TopDegreeSelection, generic_surface, p2_surface, pair_integra
 from .config import ConfigError, build_problem, load_config, parse_prefactor
 from .diagrams import bell_transform, severi_count
 from .multidegree import MonomialIdeal, codimension, multidegree
-from .poly import MPoly, VariableContext, format_poly
+from .poly import MPoly, TermBudgetExceeded, VariableContext, format_poly
 from .verify import verify_suite
 
 
@@ -233,7 +233,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         parser.exit(2, "error: %s\n" % exc)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, TermBudgetExceeded) as exc:
         parser.exit(2, "error: %s\n" % exc)
     except KeyError as exc:
         # input text naming a variable its context does not have

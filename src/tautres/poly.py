@@ -311,19 +311,53 @@ class MPoly:
         a = value.numerator
         return _reduced(self.ctx, {k: c * a for k, c in self._t.items()}, self._den * value.denominator)
 
-    def __pow__(self, n: int):
+    def pow(self, n: int, budget: int | None = None) -> "MPoly":
+        """self^n by repeated squaring; budget caps each product as in :meth:`mul`."""
         if n < 0:
             raise ValueError("negative power on MPoly")
         out = MPoly.const(self.ctx, 1)
         base = self
         while n:
             if n & 1:
-                out = out * base
+                out = out.mul(base, budget=budget)
             base_needed = n >> 1
             if base_needed:
-                base = base * base
+                base = base.mul(base, budget=budget)
             n = base_needed
         return out
+
+    def __pow__(self, n: int):
+        return self.pow(n)
+
+    def relabel(self, ctx: VariableContext, slots) -> "MPoly":
+        """This polynomial moved into ctx, slot i going to slot slots[i].
+
+        The targets must be distinct and each must have the degree of its
+        source slot, so every term keeps its geometry degree; terms above
+        ctx's dim_cap are dropped, as a product in ctx would drop them.
+        Relabelling thus commutes with products whenever the source
+        context caps no lower than ctx.
+        """
+        src = self.ctx
+        if len(slots) != src.nvars:
+            raise ValueError("need one target slot per variable, got %d for %d" % (len(slots), src.nvars))
+        if len(set(slots)) != len(slots):
+            raise ValueError("repeated target slot in %r" % (tuple(slots),))
+        for i, j in enumerate(slots):
+            if not 0 <= j < ctx.nvars or ctx.degrees[j] != src.degrees[i]:
+                raise ValueError("cannot move %s into slot %r" % (src.names[i], j))
+        moves = [(s, ctx._units[j]) for s, j in zip(src._shifts, slots)]
+        zero, limit = ctx._zero, ctx._cap_limit
+        terms = {}
+        for key, coef in self._t.items():
+            new = zero
+            for s, unit in moves:
+                e = ((key >> s) & _MASK) - _BIAS
+                if e:
+                    new += e * unit
+            if new < limit:
+                terms[new] = coef
+        return _reduced(ctx, terms, self._den)
 
     def __eq__(self, other):
         if not isinstance(other, MPoly):

@@ -53,11 +53,15 @@ class Expansion(Record):
     floor: int
 
 
-def expand_inverse_at_infinity(form: LinearForm, lower_cutoff: int, var: str | None = None) -> Expansion:
+def expand_inverse_at_infinity(
+    form: LinearForm, lower_cutoff: int, var: str | None = None, budget: int | None = None
+) -> Expansion:
     """Expand 1/form^mult at infinity in the form's leading variable.
 
-    Keeps exponents >= lower_cutoff.  With form = a*t + r (t leading,
-    r the smaller-variable rest):
+    Keeps exponents >= lower_cutoff.  budget caps each product as in
+    MPoly.mul, and TermBudgetExceeded names t, the variable whose
+    elimination step the expansion belongs to.  With form = a*t + r
+    (t leading, r the smaller-variable rest):
 
         1/(a t + r)^m = sum_j C(m+j-1, j) (-r)^j a^(-m-j) t^(-m-j)
     """
@@ -73,16 +77,20 @@ def expand_inverse_at_infinity(form: LinearForm, lower_cutoff: int, var: str | N
     out = MPoly.zero(ctx)
     rest_pow = MPoly.const(ctx, 1)
     j = 0
-    while -m - j >= lower_cutoff:
-        coef = Fraction(comb(m + j - 1, j), 1) / a ** (m + j)
-        if j % 2:
-            coef = -coef
-        out = out + MPoly.var(ctx, ctx.names[i], -m - j).scale(coef) * rest_pow
-        j += 1
-        if -m - j >= lower_cutoff:
-            rest_pow = rest_pow * rest
-            if rest_pow.is_zero():
-                break
+    try:
+        while -m - j >= lower_cutoff:
+            coef = Fraction(comb(m + j - 1, j), 1) / a ** (m + j)
+            if j % 2:
+                coef = -coef
+            t_pow = MPoly.var(ctx, ctx.names[i], -m - j).scale(coef)
+            out = out + t_pow.mul(rest_pow, budget=budget)
+            j += 1
+            if -m - j >= lower_cutoff:
+                rest_pow = rest_pow.mul(rest, budget=budget)
+                if rest_pow.is_zero():
+                    break
+    except TermBudgetExceeded as exc:
+        raise TermBudgetExceeded("%s while eliminating %s" % (exc, ctx.names[i])) from None
     return Expansion(out, i, lower_cutoff)
 
 
@@ -149,7 +157,8 @@ def iterated_residue(problem: ResidueProblem, term_budget: int = DEFAULT_TERM_BU
         total_mult = sum(f.multiplicity for f in led)
         for f in led:
             cutoff = -1 - d_max + (total_mult - f.multiplicity)
-            factors.append((expand_inverse_at_infinity(f, cutoff).poly, cutoff, -f.multiplicity))
+            expansion = expand_inverse_at_infinity(f, cutoff, budget=term_budget)
+            factors.append((expansion.poly, cutoff, -f.multiplicity))
         # window pruning: after factor j, the factors still to come
         # contribute exponents in [sum of their lows, sum of their highs]
         for j, (factor, _, _) in enumerate(factors):

@@ -1,6 +1,8 @@
 """Problem builders: punctual, geometric, point-component, and nodal-degree."""
 
 import hashlib
+import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from tautres.assemble import (
     AlgebraSpec,
     GeometricSubsetSpec,
     SEVERI_PREFACTOR,
+    _sum_block,
     assemble_geometric,
     assemble_ghilb,
     assemble_punctual,
@@ -18,9 +21,16 @@ from tautres.assemble import (
     severi_bundle,
     severi_coefficient,
 )
-from tautres.chern import elementary_symmetric, generic_surface, twisted_roots
+from tautres.chern import (
+    BundleModel,
+    SurfaceModel,
+    elementary_symmetric,
+    generic_surface,
+    segre_factor,
+    twisted_roots,
+)
 from tautres.diagrams import from_partition
-from tautres.poly import MPoly, format_poly, parse_poly
+from tautres.poly import MPoly, TermBudgetExceeded, VariableContext, format_poly, linear_form, parse_poly
 from tautres.record import replace
 from tautres.residue import iterated_residue
 
@@ -330,6 +340,130 @@ def test_geometric_mixed_spec_pinned_terms():
     ]
     assert len({id(prob) for _, prob in out}) == 11
     assert all(format_poly(iterated_residue(prob)) != "0" for _, prob in out)
+
+
+def _renamed(text, mapping):
+    return re.sub(r"[A-Za-z_][A-Za-z0-9_]*", lambda m: mapping.get(m.group(0), m.group(0)), text)
+
+
+def joint_problem(spec, alpha, bundle, surface, phi):
+    """A partition's problem built whole in its joint context, block by block.
+
+    The reference for the block-piece route: each block's epd and Segre
+    text is renamed into the block's variables and geometry copy, and phi
+    is evaluated on the elementary symmetric polynomials of all joint
+    twisted roots.
+    """
+    t = len(alpha)
+    blocks = [_sum_block(spec, block, surface.dim) for block in alpha]
+    names, geometry, copies = [], [], []
+    for l, (_, weights, _) in enumerate(blocks):
+        sfx = "" if t == 1 else "_%d" % (l + 1)
+        zs = ["z%d" % i if t == 1 else "b%dz%d" % (l + 1, i) for i in range(1, len(weights) + 1)]
+        symbols = {n: n + sfx for n in bundle.roots + tuple(n for n, _ in surface.chern_symbols)}
+        copies.append((zs, symbols))
+        names.extend(zs)
+        geometry.extend((symbols[r], 1) for r in bundle.roots)
+        geometry.extend((symbols[n], d) for n, d in surface.chern_symbols)
+    ctx = VariableContext(tuple(names), tuple(geometry), surface.dim * t)
+    num = MPoly.const(ctx, 1)
+    forms, laurents, troots = [], [], []
+    for (alg, weights, (exps, coef)), (zs, symbols) in zip(blocks, copies):
+        z = [MPoly.var(ctx, n) for n in zs]
+        for i, j in itertools.permutations(range(len(zs)), 2):
+            if weights[i] <= weights[j]:
+                num = num * (z[i] - z[j])
+        if alg.epd is not None:
+            num = num * parse_poly(ctx, _renamed(alg.epd, {"z%d" % (i + 1): n for i, n in enumerate(zs)}))
+        for i, j, m in itertools.product(range(len(zs)), repeat=3):
+            if i <= j and weights[i] + weights[j] <= weights[m]:
+                forms.append(linear_form(ctx, z[i] + z[j] - z[m]))
+        if zs or coef != 1:
+            laurents.append(parse_poly(ctx, "*".join(["%s" % coef] + ["%s^%d" % ne for ne in zip(zs, exps)])))
+        copy = SurfaceModel(
+            surface.name,
+            surface.dim,
+            tuple((symbols[n], d) for n, d in surface.chern_symbols),
+            tuple(_renamed(text, symbols) for text in surface.segre_values),
+        )
+        laurents.extend(segre_factor(ctx, n, copy) for n in zs)
+        own = BundleModel(bundle.rank, tuple(symbols[r] for r in bundle.roots))
+        troots.extend(twisted_roots(ctx, own, z))
+    value = MPoly.zero(ctx)
+    for c, powers in normalize_phi(phi):
+        term = MPoly.const(ctx, c)
+        for m, power in powers.items():
+            term = term * elementary_symmetric(m, troots) ** power
+        value = value + term
+    return ctx, num * value, forms, laurents
+
+
+def assert_matches_joint_route(out, spec, bundle, surface, phi):
+    seen = set()
+    for alpha, prob in out:
+        if id(prob) in seen:
+            continue
+        seen.add(id(prob))
+        ctx, num, forms, laurents = joint_problem(spec, alpha, bundle, surface, phi)
+        assert (prob.ctx.names, prob.ctx.degrees, prob.ctx.dim_cap) == (ctx.names, ctx.degrees, ctx.dim_cap)
+        assert prob.ctx == ctx
+        assert prob.numerator == num
+        assert list(prob.denominator) == forms
+        assert list(prob.laurent_prefactors) == laurents
+
+
+@pytest.mark.parametrize("q_polys", [None, {1: "z1", 2: "z1*z2", 3: "z1^2*z3"}])
+@pytest.mark.parametrize("phi", ["c2", "2*c2 - c1^2", "c1^3*c2 + c3^2"])
+def test_block_pieces_match_the_joint_route(phi, q_polys):
+    bundle = severi_bundle()
+    for k in range(1, 6):
+        q = {m: text for m, text in (q_polys or {}).items() if m < k}
+        out = assemble_ghilb(k, bundle, SURFACE, phi, q)
+        spec = GeometricSubsetSpec(
+            (AlgebraSpec.trivial(),) * k,
+            block_epds={
+                frozenset(b): text
+                for m, text in q.items()
+                for b in itertools.combinations(range(1, k + 1), m + 1)
+            },
+        )
+        assert_matches_joint_route(out, spec, bundle, SURFACE, phi)
+        for alpha, prob in out:
+            assert prob.prefactor == (-1) ** (k - len(alpha))
+
+
+def test_block_pieces_match_the_joint_route_on_a_mixed_spec():
+    triv = AlgebraSpec.trivial()
+    spec = GeometricSubsetSpec((triv, AlgebraSpec.morin(2), triv, triv))
+    out = assemble_geometric(spec, severi_bundle(), SURFACE, phi="c2^4")
+    assert_matches_joint_route(out, spec, severi_bundle(), SURFACE, "c2^4")
+    assert all(prob.prefactor == 1 for _, prob in out)
+
+
+def test_every_assembly_and_elimination_product_is_budgeted(monkeypatch):
+    budgets = []
+    mul = MPoly.mul
+
+    def spy(self, other, window=None, budget=None):
+        budgets.append(budget)
+        return mul(self, other, window=window, budget=budget)
+
+    monkeypatch.setattr(MPoly, "mul", spy)
+    problems = [prob for _, prob in assemble_ghilb(4, severi_bundle(), SURFACE, "c1^3*c2 + c3^2")]
+    problems.append(assemble_punctual(AlgebraSpec(6, (2, 2, 1)), severi_bundle(), SURFACE, "c2"))
+    problems.append(assemble_severi(2))
+    for prob in problems:
+        iterated_residue(prob)
+    assert budgets and None not in budgets
+
+
+def test_support_with_too_many_partitions_is_refused_unenumerated(monkeypatch):
+    def enumerated(n):
+        raise AssertionError("set partitions of %d points were listed" % n)
+
+    monkeypatch.setattr("tautres.assemble.set_partitions", enumerated)
+    with pytest.raises(TermBudgetExceeded, match="13 points has 27644437 set partitions"):
+        assemble_ghilb(13, severi_bundle(), SURFACE, phi=None)
 
 
 def test_ghilb_rejects_bad_k():

@@ -29,9 +29,7 @@ CTX = VariableContext(
 def test_bundle_model_validates_rank():
     with pytest.raises(ValueError):
         BundleModel(rank=2, roots=("L",))
-    b = BundleModel(rank=1, roots=("L",))
-    assert b.with_suffix("_2").roots == ("L_2",)
-    assert b.with_suffix("") is b
+    assert BundleModel(rank=1, roots=("L",)).roots == ("L",)
 
 
 def test_twisted_roots():
@@ -71,13 +69,6 @@ def test_segre_factor_generic_surface():
         + (c1 * c1 - c2) * MPoly.var(CTX, "z1", -2)
     )
     assert s == want
-
-
-def test_surface_suffix_renames_segre_text():
-    s = generic_surface().with_suffix("_2")
-    assert s.chern_symbols == (("c1_2", 1), ("c2_2", 2))
-    assert s.segre_values == ("c1_2", "c1_2^2 - c2_2")
-    assert s.pairing is None
 
 
 def test_surface_presets():

@@ -304,6 +304,34 @@ def test_cli_ghilb_output_is_pinned(capsys):
     )
 
 
+# digests of the full stdout, recorded while every partition's problem
+# was still built whole in its joint context
+SIX_POINT_DIGESTS = {
+    "2*c2 + 3*c1^2": "0f7b57eff1a2c67576baf55550a69705ffc1c2afa2952f247a41119b27b8f37e",
+    "c1^3*c2 + c3^2": "b047367512449d541508b0832af7495612b5f7bde7576146f9c425c6a15b6bfa",
+}
+
+
+@pytest.mark.parametrize("phi", sorted(SIX_POINT_DIGESTS))
+def test_cli_ghilb_six_points_is_pinned(capsys, phi):
+    assert cli.main(["ghilb", "--k", "6", "--phi", phi, "--evaluate"]) == 0
+    out = capsys.readouterr().out
+    assert sum(line.startswith("term ") for line in out.splitlines()) == 203
+    assert hashlib.sha256(out.encode()).hexdigest() == SIX_POINT_DIGESTS[phi]
+
+
+def test_cli_ghilb_refuses_a_support_with_too_many_partitions(capsys, monkeypatch):
+    def enumerated(n):
+        raise AssertionError("set partitions of %d points were listed" % n)
+
+    monkeypatch.setattr(assemble, "set_partitions", enumerated)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ghilb", "--k", "13"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "27644437 set partitions" in err
+
+
 def test_cli_verify(capsys):
     assert cli.main(["verify"]) == 0
     out = lines(capsys)

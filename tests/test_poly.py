@@ -270,6 +270,60 @@ def test_coefficient_of_a_geometry_symbol_multiplies_back(p, slot, e):
     assert back.terms == reference_product(picked, MPoly.const(CAPPED, 1))
 
 
+# -- relabelling into a larger context ----------------------------------------
+
+# two copies of CTX's layout, interleaved, with a cap on the geometry degree
+WIDE = VariableContext(
+    residue_vars=("b1z1", "b2z1", "b1z2", "b2z2"),
+    geometry=(("L_1", 1), ("L_2", 1), ("c1_1", 1), ("c1_2", 1), ("c2_1", 2), ("c2_2", 2)),
+    dim_cap=4,
+)
+
+
+@st.composite
+def slot_maps(draw):
+    """A map of CTX's slots into distinct WIDE slots of the same degree."""
+    free = {}
+    for j in draw(st.permutations(range(WIDE.nvars))):
+        free.setdefault(WIDE.degrees[j], []).append(j)
+    return tuple(free[d].pop() for d in CTX.degrees)
+
+
+@given(small_polys(), small_polys(), slot_maps())
+@settings(max_examples=120, deadline=None)
+def test_relabel_moves_slots_and_commutes_with_products(p, q, slots):
+    moved = p.relabel(WIDE, slots)
+    want = {}
+    for key, coef in p.terms.items():
+        if CTX.geometry_degree(key) <= WIDE.dim_cap:
+            new = [0] * WIDE.nvars
+            for i, e in enumerate(key):
+                new[slots[i]] = e
+            want[tuple(new)] = coef
+    assert moved.terms == want
+    assert moved * q.relabel(WIDE, slots) == (p * q).relabel(WIDE, slots)
+
+
+@given(small_polys())
+@settings(max_examples=40, deadline=None)
+def test_relabel_into_an_identical_layout_is_equal(p):
+    same = VariableContext(CTX.residue_vars, CTX.geometry)
+    assert p.relabel(same, tuple(range(CTX.nvars))) == MPoly(same, p.terms)
+    assert p.relabel(CTX, tuple(range(CTX.nvars))) == p
+
+
+def test_relabel_refuses_repeated_or_wrong_degree_targets():
+    p = V("z1") + V("c2")
+    with pytest.raises(ValueError, match="repeated"):
+        p.relabel(WIDE, (0, 0, 4, 6, 8))
+    with pytest.raises(ValueError, match="cannot move c2"):
+        p.relabel(WIDE, (0, 1, 4, 6, 5))
+    with pytest.raises(ValueError, match="cannot move z1"):
+        p.relabel(WIDE, (4, 1, 5, 6, 8))
+    with pytest.raises(ValueError, match="one target slot per variable"):
+        p.relabel(WIDE, (0, 1, 4, 6))
+
+
 def test_cancellation_gives_the_normal_zero():
     z = MPoly.var(CAPPED, "z1")
     p = Fraction(1, 2) + z.scale(Fraction(1, 3))
