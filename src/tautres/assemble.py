@@ -464,10 +464,14 @@ def _partition_problem(pieces, phi_terms, dim: int) -> ResidueProblem:
             for l, p in enumerate(pieces)
         ]
         ctx = VariableContext(sum(names, ()), sum(copies, ()), dim * t)
-        slot_maps = [
-            [ctx.index(n) for n in zs + tuple(n for n, _ in copy)]
-            for zs, copy in zip(names, copies)
-        ]
+        # block l's residue names follow the earlier blocks' residue names,
+        # and its geometry copy the earlier copies, after every residue name
+        slot_maps = []
+        z, g = 0, ctx.k
+        for p in pieces:
+            m, n = p.ctx.k, p.ctx.nvars - p.ctx.k
+            slot_maps.append((*range(z, z + m), *range(g, g + n)))
+            z, g = z + m, g + n
 
     def place(poly, slots):
         return poly if t == 1 else poly.relabel(ctx, slots)

@@ -60,12 +60,7 @@ def _problem_lines(problem) -> list:
         lines.append("numerator <%d terms, expansion suppressed>" % len(problem.numerator))
     else:
         lines.append("numerator %s" % format_poly(problem.numerator))
-    for f in problem.denominator:
-        body = format_poly(f.as_poly())
-        if f.multiplicity == 1:
-            lines.append("denominator (%s)" % body)
-        else:
-            lines.append("denominator (%s)^%d" % (body, f.multiplicity))
+    lines.extend("denominator %r" % (f,) for f in problem.denominator)
     lines.extend("laurent %s" % format_poly(p) for p in problem.laurent_prefactors)
     return lines
 

@@ -25,6 +25,10 @@ A config describes one ResidueProblem over one surface model:
 Tokens are ASCII, whitespace is insignificant, ``#`` starts a comment.
 Weights may be omitted (all lines or none).  The geometry symbols are
 the bundle root ``L`` plus the surface's Chern symbols.
+
+Every product that builds the numerator or a Segre factor runs under
+DEFAULT_TERM_BUDGET, the budget iterated_residue uses; a
+TermBudgetExceeded raised while building the numerator names the line.
 """
 
 from __future__ import annotations
@@ -39,9 +43,16 @@ from .chern import (
     segre_factor,
     twisted_roots,
 )
-from .poly import MPoly, VariableContext, parse_linear_form, parse_poly, split_power
+from .poly import (
+    MPoly,
+    TermBudgetExceeded,
+    VariableContext,
+    parse_linear_form,
+    parse_poly,
+    split_power,
+)
 from .record import Record
-from .residue import ResidueProblem
+from .residue import DEFAULT_TERM_BUDGET, ResidueProblem
 
 
 class ConfigError(ValueError):
@@ -223,6 +234,24 @@ def _monomial_denominator(ctx: VariableContext, text: str) -> MPoly | None:
     return MPoly(ctx, {inv: Fraction(1) / coef ** mult})
 
 
+def _numerator_factor(ctx: VariableContext, bundle: BundleModel, line: str) -> MPoly:
+    """One [numerator] line as a polynomial, its products under DEFAULT_TERM_BUDGET."""
+    parts = line.split()
+    if parts and parts[0] == "chern":
+        if len(parts) != 2:
+            raise ConfigError("chern clause needs one integer: %r" % line)
+        offsets = [MPoly.var(ctx, n) for n in ctx.residue_vars]
+        roots = twisted_roots(ctx, bundle, offsets)
+        return elementary_symmetric(int(parts[1]), roots, budget=DEFAULT_TERM_BUDGET)
+    try:
+        if line.lstrip().startswith("("):
+            form = parse_linear_form(ctx, line)
+            return form.as_poly().pow(form.multiplicity, budget=DEFAULT_TERM_BUDGET)
+        return parse_poly(ctx, line)
+    except (ValueError, KeyError) as exc:
+        raise ConfigError("bad numerator line %r: %s" % (line, exc)) from None
+
+
 def build_problem(cfg: ProblemConfig):
     """Interpret a ProblemConfig; returns (ResidueProblem, SurfaceModel)."""
     surface = build_surface(cfg.surface_line)
@@ -243,22 +272,10 @@ def build_problem(cfg: ProblemConfig):
 
     num = MPoly.const(ctx, 1)
     for line in cfg.numerator_lines:
-        parts = line.split()
-        if parts and parts[0] == "chern":
-            if len(parts) != 2:
-                raise ConfigError("chern clause needs one integer: %r" % line)
-            m = int(parts[1])
-            offsets = [MPoly.var(ctx, n) for n in names]
-            num = num * elementary_symmetric(m, twisted_roots(ctx, bundle, offsets))
-            continue
         try:
-            if line.lstrip().startswith("("):
-                form = parse_linear_form(ctx, line)
-                num = num * form.as_poly() ** form.multiplicity
-            else:
-                num = num * parse_poly(ctx, line)
-        except (ValueError, KeyError) as exc:
-            raise ConfigError("bad numerator line %r: %s" % (line, exc)) from None
+            num = num.mul(_numerator_factor(ctx, bundle, line), budget=DEFAULT_TERM_BUDGET)
+        except TermBudgetExceeded as exc:
+            raise TermBudgetExceeded("%s in the config numerator line %r" % (exc, line)) from None
 
     forms = []
     laurents = []
@@ -280,7 +297,7 @@ def build_problem(cfg: ProblemConfig):
     for v in cfg.segre_vars:
         if v not in names:
             raise ConfigError("segre var %r is not a declared variable" % v)
-        laurents.append(segre_factor(ctx, v, surface))
+        laurents.append(segre_factor(ctx, v, surface, budget=DEFAULT_TERM_BUDGET))
 
     try:
         problem = ResidueProblem(

@@ -20,6 +20,16 @@ so equal polynomials have equal dicts.  Residue variables may appear
 with negative exponents (the elimination loop works with truncated
 Laurent tails); geometry symbols never do.
 
+Readers of packed keys work by the nonzero fields of a term, which are
+few (a term of a block problem has 2-5 of its 8-18).  XOR with the
+context's zero key leaves exactly those fields nonzero, so the text
+renderer (``format_poly``, and a ``LinearForm``'s repr, which renders
+its coefficients without building the sum) finds them by scanning for
+the lowest set bit.  ``MPoly.relabel`` moves each run of consecutive
+source slots bound for consecutive target slots with one mask and
+shift, and the degree field whole; a block's pieces have two runs, its
+residue variables and its geometry copy.
+
 ``Fraction`` and exponent tuples appear only at the boundaries:
 ``MPoly(ctx, {exponent tuple: rational})`` constructs a polynomial, and
 ``p.terms`` is a read-only ``{exponent tuple: Fraction}`` view, decoded
@@ -338,23 +348,32 @@ class MPoly:
         Relabelling thus commutes with products whenever the source
         context caps no lower than ctx.
         """
-        src = self.ctx
-        if len(slots) != src.nvars:
-            raise ValueError("need one target slot per variable, got %d for %d" % (len(slots), src.nvars))
-        if len(set(slots)) != len(slots):
+        src, n = self.ctx, len(slots)
+        if n != src.nvars:
+            raise ValueError("need one target slot per variable, got %d for %d" % (n, src.nvars))
+        if len(set(slots)) != n:
             raise ValueError("repeated target slot in %r" % (tuple(slots),))
+        # Each run of source slots bound for consecutive target slots moves
+        # as one masked block of biased fields.  base is ctx's zero key less
+        # the bias of the slots the runs fill; the degree field moves whole,
+        # since every target slot has its source's degree.
+        degrees, src_degrees, top = ctx.degrees, src.degrees, ctx.nvars
+        base, moves, first = ctx._zero, [], 0
         for i, j in enumerate(slots):
-            if not 0 <= j < ctx.nvars or ctx.degrees[j] != src.degrees[i]:
+            if not 0 <= j < top or degrees[j] != src_degrees[i]:
                 raise ValueError("cannot move %s into slot %r" % (src.names[i], j))
-        moves = [(s, ctx._units[j]) for s, j in zip(src._shifts, slots)]
-        zero, limit = ctx._zero, ctx._cap_limit
+            if i + 1 == n or slots[i + 1] != j + 1:  # the run from first ends at i
+                mask, t = (1 << FIELD_BITS * (i + 1 - first)) - 1, FIELD_BITS * slots[first]
+                base -= (src._zero & mask) << t
+                moves.append((FIELD_BITS * first, mask, t))
+                first = i + 1
+        src_deg, dst_deg = FIELD_BITS * n, FIELD_BITS * top
+        limit = ctx._cap_limit
         terms = {}
         for key, coef in self._t.items():
-            new = zero
-            for s, unit in moves:
-                e = ((key >> s) & _MASK) - _BIAS
-                if e:
-                    new += e * unit
+            new = base + ((key >> src_deg) << dst_deg)
+            for s, mask, t in moves:
+                new += ((key >> s) & mask) << t
             if new < limit:
                 terms[new] = coef
         return _reduced(ctx, terms, self._den)
@@ -426,28 +445,44 @@ class MPoly:
 # -- canonical text form ----------------------------------------------
 
 
-def _term_sort_key(row):
-    key = row[0]
-    return (-sum(key), tuple((i, -e) for i, e in enumerate(key) if e))
+def _term_rows(p: MPoly, den: int) -> list:
+    """(sort key, monomial text, coefficient over den) per term of p.
 
-
-def format_poly(p: MPoly) -> str:
-    """Render in the canonical text form, e.g. ``3*L^2 + 2*L*c1 + c2``.
-
-    Reads the packed terms: each key is unpacked once, for the term order
-    and the factors, and each integer coefficient is reduced against the
-    polynomial's denominator.
+    The sort key (-degree, ((i, -e), ...)) orders terms canonically:
+    higher total exponent first, then by the (slot, -exponent) pairs of
+    the nonzero fields in slot order.  Each packed key is read by its
+    nonzero fields only, found by XOR with the context's zero key and a
+    scan for the lowest set bit; a field's exponent is its value less the
+    bias, which the XOR leaves as the 16-bit two's complement of e.
     """
-    if not p._t:
-        return "0"
-    ctx, den = p.ctx, p._den
-    names, unpack = ctx.names, ctx._unpack
-    rows = sorted(((unpack(k), c) for k, c in p._t.items()), key=_term_sort_key)
+    ctx = p.ctx
+    names, zero = ctx.names, ctx._zero
+    slots = (1 << (FIELD_BITS * len(names))) - 1  # every field below the degree field
+    m = den // p._den
+    rows = []
+    for key, c in p._t.items():
+        x = (key & slots) ^ zero
+        pairs, factors = [], []
+        deg = i = 0
+        while x:
+            skip = ((x & -x).bit_length() - 1) // FIELD_BITS
+            x >>= skip * FIELD_BITS
+            i += skip
+            e = x & _MASK
+            e -= (e & _BIAS) << 1
+            deg += e
+            pairs.append((i, -e))
+            factors.append(names[i] if e == 1 else "%s^%d" % (names[i], e))
+            x >>= FIELD_BITS
+            i += 1
+        rows.append(((-deg, tuple(pairs)), "*".join(factors), c * m))
+    return rows
+
+
+def _join_terms(rows, den: int) -> str:
+    """Text of canonically sorted rows, each coefficient reduced against den."""
     chunks = []
-    for key, c in rows:
-        mono = "*".join(
-            names[i] if e == 1 else "%s^%d" % (names[i], e) for i, e in enumerate(key) if e
-        )
+    for _, mono, c in rows:
         num = -c if c < 0 else c
         g = gcd(num, den)
         coef = "%d" % (num // g) if g == den else "%d/%d" % (num // g, den // g)
@@ -461,7 +496,18 @@ def format_poly(p: MPoly) -> str:
             chunks.append(body if c > 0 else "-" + body)
         else:
             chunks.append(("+ " if c > 0 else "- ") + body)
-    return " ".join(chunks)
+    return " ".join(chunks) if chunks else "0"
+
+
+def format_poly(p: MPoly) -> str:
+    """Render in the canonical text form, e.g. ``3*L^2 + 2*L*c1 + c2``.
+
+    Reads the packed terms by their nonzero fields (see _term_rows), and
+    reduces each integer coefficient against the polynomial's denominator.
+    """
+    rows = _term_rows(p, p._den)
+    rows.sort()
+    return _join_terms(rows, p._den)
 
 
 _TOKEN_RE = re.compile(
@@ -560,9 +606,11 @@ class LinearForm(Record):
     def __post_init__(self):
         if len(self.z_coeffs) != self.ctx.k:
             raise ValueError("z_coeffs length mismatch")
-        for i in range(self.ctx.k):
-            if any(key[i] for key in self.const_part.terms):
-                raise ValueError("const_part touches a residue variable")
+        # the residue variables are the lowest k fields of a packed key
+        low = (1 << (FIELD_BITS * self.ctx.k)) - 1
+        bias = self.ctx._zero & low
+        if any(key & low != bias for key in self.const_part._t):
+            raise ValueError("const_part touches a residue variable")
         if not any(self.z_coeffs) and self.const_part.is_zero():
             raise ValueError("identically zero linear form")
         if self.multiplicity < 1:
@@ -601,7 +649,21 @@ class LinearForm(Record):
     __hash__ = None
 
     def __repr__(self):
-        body = format_poly(self.as_poly())
+        """``(body)`` or ``(body)^m``, body the text of :meth:`as_poly`.
+
+        The body is rendered from z_coeffs and the constant part's rows
+        over one common denominator, without building the sum.
+        """
+        ctx, const = self.ctx, self.const_part
+        den = lcm(const._den, *(a.denominator for a in self.z_coeffs))
+        rows = _term_rows(const, den)
+        rows += [
+            ((-1, ((i, -1),)), ctx.names[i], a.numerator * (den // a.denominator))
+            for i, a in enumerate(self.z_coeffs)
+            if a
+        ]
+        rows.sort()
+        body = _join_terms(rows, den)
         if self.multiplicity == 1:
             return "(%s)" % body
         return "(%s)^%d" % (body, self.multiplicity)

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from tautres import assemble, cli
+from tautres import assemble, cli, config
 from tautres.config import (
     ConfigError,
     build_problem,
@@ -18,7 +19,7 @@ from tautres.config import (
     parse_config,
 )
 from tautres.assemble import evaluate
-from tautres.poly import MPoly
+from tautres.poly import MPoly, TermBudgetExceeded
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -154,6 +155,30 @@ def test_build_problem_rejects_bad_lines():
         build_problem(parse_config("[vars]\nz1\n[denominator]\n(L)\n"))
     with pytest.raises(ConfigError, match="weakly monotone"):
         build_problem(parse_config("[vars]\nz1 2\nz2 1\n"))
+
+
+@pytest.mark.parametrize("name", ["one_node.cfg", "two_node.cfg"])
+def test_every_config_product_is_budgeted(monkeypatch, name):
+    budgets = []
+    mul = MPoly.mul
+
+    def spy(self, other, window=None, budget=None):
+        budgets.append(budget)
+        return mul(self, other, window=window, budget=budget)
+
+    monkeypatch.setattr(MPoly, "mul", spy)
+    build_problem(load_config(CONFIGS / name))
+    assert budgets and None not in budgets
+
+
+def test_config_numerator_over_budget_names_its_line(monkeypatch):
+    monkeypatch.setattr(config, "DEFAULT_TERM_BUDGET", 4)
+    cfg = "[vars]\nz1\nz2\n[numerator]\n(z1 - z2)\n%s\n"
+    for line in ("(z1 + z2 + L)^3", "chern 2", "z1^2 + z1*z2 + z2^2 + L^2 + 1"):
+        where = re.escape("in the config numerator line %r" % line)
+        with pytest.raises(TermBudgetExceeded, match=where):
+            build_problem(parse_config(cfg % line))
+    build_problem(parse_config(cfg % "(z1 + z2)"))
 
 
 def test_config_route_reproduces_one_node_coefficient():
@@ -318,6 +343,18 @@ def test_cli_ghilb_six_points_is_pinned(capsys, phi):
     out = capsys.readouterr().out
     assert sum(line.startswith("term ") for line in out.splitlines()) == 203
     assert hashlib.sha256(out.encode()).hexdigest() == SIX_POINT_DIGESTS[phi]
+
+
+def test_cli_ghilb_block_polynomials_are_pinned(capsys):
+    # digest of the full stdout, recorded while relabel and the text
+    # renderer still decoded every field of every packed key
+    argv = ["ghilb", "--k", "4", "--q", "1:z1", "--q", "2:z1*z2", "--q", "3:z1^2*z3"]
+    assert cli.main(argv + ["--phi", "c2", "--evaluate"]) == 0
+    out = capsys.readouterr().out
+    assert sum(line.startswith("term ") for line in out.splitlines()) == 15
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ac22318dc10b07b011483af9991317d662eae36c58b15435329831170f481b79"
+    )
 
 
 def test_cli_ghilb_refuses_a_support_with_too_many_partitions(capsys, monkeypatch):

@@ -398,3 +398,164 @@ def test_linear_form_rejects_nonlinear():
         linear_form(CTX, V("z1") * V("L"))
     with pytest.raises(ValueError):
         LinearForm(ctx=CTX, z_coeffs=(Fraction(1),), const_part=MPoly.zero(CTX))
+
+
+def test_linear_form_refuses_a_const_part_touching_a_residue_variable():
+    for bad in (V("z1"), V("z2", -1) * V("L"), V("c2") + V("z2", 3)):
+        with pytest.raises(ValueError, match="touches a residue variable"):
+            LinearForm(CTX, (Fraction(1), Fraction(0)), bad)
+    # the last residue variable of a wide context, beside geometry fields
+    wide = VariableContext(tuple("z%d" % i for i in range(1, 13)), TWENTY.geometry)
+    for name in ("z1", "z12"):
+        with pytest.raises(ValueError, match="touches a residue variable"):
+            LinearForm(wide, (Fraction(1),) * 12, MPoly.var(wide, name) + MPoly.var(wide, "g9", 4))
+    ok = LinearForm(wide, (Fraction(0),) * 12, MPoly.var(wide, "g1") - 3)
+    assert ok.leading_index() is None
+
+
+# -- packed-key readers against the dense .terms view --------------------------
+
+# 21 slots: the degree field sits above bit 320
+TWENTY = VariableContext(
+    tuple("z%d" % i for i in range(1, 13)),
+    tuple(("g%d" % i, 1 + i % 3) for i in range(1, 10)),
+)
+TWENTY_CAPPED = VariableContext(TWENTY.residue_vars, TWENTY.geometry, dim_cap=5)
+
+
+def reference_text(p):
+    """The canonical text, from the decoded exponent tuples and Fractions."""
+
+    def order(row):
+        key = row[0]
+        return (-sum(key), tuple((i, -e) for i, e in enumerate(key) if e))
+
+    chunks = []
+    for key, coef in sorted(p.terms.items(), key=order):
+        mono = "*".join(
+            n if e == 1 else "%s^%d" % (n, e) for n, e in zip(p.ctx.names, key) if e
+        )
+        mag = str(abs(coef))
+        body = mag if not mono else mono if mag == "1" else "%s*%s" % (mag, mono)
+        sign = ("" if coef > 0 else "-") if not chunks else ("+ " if coef > 0 else "- ")
+        chunks.append(sign + body)
+    return " ".join(chunks) or "0"
+
+
+@st.composite
+def sparse_polys(draw, ctx, residue=True, geometry=True):
+    """A few terms over ctx, each with a few nonzero slots from one small palette.
+
+    Sharing the palette makes terms of equal degree that agree on their
+    first slots, which is where the canonical order is decided.
+    """
+    slots = [i for i in range(ctx.nvars) if (residue if i < ctx.k else geometry)]
+    palette = draw(st.lists(st.sampled_from(slots), min_size=1, max_size=4)) if slots else []
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        key = [0] * ctx.nvars
+        for i in draw(st.lists(st.sampled_from(palette), max_size=4)) if palette else ():
+            if i < ctx.k:
+                key[i] = draw(st.integers(-3, 3) | st.sampled_from((-9, 9, EXP_MIN, EXP_MAX)))
+            else:
+                key[i] = draw(st.integers(0, 4))
+        coef = Fraction(draw(st.integers(-30, 30)), draw(st.integers(1, 12)))
+        terms[tuple(key)] = terms.get(tuple(key), 0) + coef
+    return MPoly(ctx, terms)
+
+
+@given(st.sampled_from((CTX, CAPPED, TWENTY, TWENTY_CAPPED)).flatmap(sparse_polys))
+@settings(max_examples=100, deadline=None)
+def test_format_matches_the_dense_reference(p):
+    assert format_poly(p) == reference_text(p)
+
+
+@st.composite
+def run_slot_maps(draw, src, dst):
+    """Degree-preserving injective slot maps that mix runs and scattered slots."""
+    free = {}
+    for j in draw(st.permutations(range(dst.nvars))):
+        free.setdefault(dst.degrees[j], []).append(j)
+    slots = []
+    for i, d in enumerate(src.degrees):
+        prev = slots[-1] + 1 if slots else None
+        if prev in free.get(d, ()) and draw(st.booleans()):
+            free[d].remove(prev)  # extend the run
+            slots.append(prev)
+        else:
+            slots.append(free[d].pop())
+    return tuple(slots)
+
+
+# a block-local layout, and a joint one with two geometry copies of it
+BLOCK = VariableContext(("z1", "z2", "z3"), (("L", 1), ("c1", 1), ("c2", 2)))
+JOINT = VariableContext(
+    ("b1z1", "b1z2", "b1z3", "b2z1", "b2z2", "b2z3", "b3z1"),
+    (("L_1", 1), ("c1_1", 1), ("c2_1", 2), ("L_2", 1), ("c1_2", 1), ("c2_2", 2)),
+    dim_cap=3,
+)
+
+
+def reference_relabel(p, ctx, slots):
+    want = {}
+    for key, coef in p.terms.items():
+        if ctx.dim_cap is None or p.ctx.geometry_degree(key) <= ctx.dim_cap:
+            new = [0] * ctx.nvars
+            for i, e in enumerate(key):
+                new[slots[i]] = e
+            want[tuple(new)] = coef
+    return want
+
+
+@given(
+    sparse_polys(BLOCK),
+    st.sampled_from((JOINT, VariableContext(JOINT.residue_vars, JOINT.geometry))),
+    st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_relabel_matches_the_dense_reference(p, ctx, data):
+    slots = data.draw(run_slot_maps(BLOCK, ctx))
+    assert p.relabel(ctx, slots).terms == reference_relabel(p, ctx, slots)
+
+
+@given(sparse_polys(BLOCK), st.data())
+@settings(max_examples=50, deadline=None)
+def test_relabel_refuses_repeated_or_wrong_degree_targets_anywhere(p, data):
+    slots = list(data.draw(run_slot_maps(BLOCK, JOINT)))
+    i = data.draw(st.integers(0, BLOCK.nvars - 1))
+    repeated = list(slots)
+    repeated[i] = slots[(i + 1) % len(slots)]
+    with pytest.raises(ValueError, match="repeated target slot"):
+        p.relabel(JOINT, repeated)
+    wrong = list(slots)
+    wrong[i] = data.draw(
+        st.sampled_from([j for j in range(JOINT.nvars) if JOINT.degrees[j] != BLOCK.degrees[i]])
+    )
+    if len(set(wrong)) == len(wrong):
+        with pytest.raises(ValueError, match="cannot move %s" % BLOCK.names[i]):
+            p.relabel(JOINT, wrong)
+    with pytest.raises(ValueError, match="cannot move"):
+        p.relabel(JOINT, slots[:i] + [JOINT.nvars + i] + slots[i + 1 :])
+
+
+@given(
+    st.sampled_from((CTX, CAPPED, TWENTY, TWENTY_CAPPED)).flatmap(
+        lambda ctx: st.tuples(
+            st.lists(
+                st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+                min_size=ctx.k,
+                max_size=ctx.k,
+            ),
+            sparse_polys(ctx, residue=False),
+        )
+    ),
+    st.integers(1, 4),
+)
+@settings(max_examples=80, deadline=None)
+def test_form_text_matches_the_text_of_its_polynomial(data, mult):
+    coeffs, const = data
+    if not any(coeffs) and const.is_zero():
+        coeffs[0] = Fraction(1)
+    f = LinearForm(const.ctx, tuple(coeffs), const, mult)
+    body = format_poly(f.as_poly())
+    assert repr(f) == ("(%s)" % body if mult == 1 else "(%s)^%d" % (body, mult))

@@ -1,0 +1,55 @@
+"""What the benchmark's traced run needs from the library.
+
+perfbench/tracer.py patches library functions by name and reads packed
+polynomials through their public views.  A refactor that drops one of
+those names makes every traced benchmark run fail, so the contract is
+checked here, against the tracer file itself.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+from tautres import cli
+from tautres.assemble import AlgebraSpec, assemble_ghilb, assemble_punctual, severi_bundle
+from tautres.chern import generic_surface
+from tautres.poly import MPoly, format_poly
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_every_patched_name_resolves():
+    tracer = load_tracer()
+    for modname, names in tracer.PATCHES.items():
+        mod = importlib.import_module(modname)
+        for fname in names:
+            assert callable(getattr(mod, fname, None)), "%s.%s" % (modname, fname)
+    assert callable(MPoly.__mul__) and callable(MPoly.coefficient_of)
+
+
+def test_assembled_problems_expose_their_numerator_terms():
+    surface = generic_surface()
+    problems = [p for _, p in assemble_ghilb(3, severi_bundle(), surface, "c2")]
+    problems.append(assemble_punctual(AlgebraSpec.morin(3), severi_bundle(), surface, "c2"))
+    for p in problems:
+        assert len(p.numerator.terms) == len(p.numerator) > 0
+
+
+def test_a_traced_cli_call_records_its_layers(capsys):
+    tracer = load_tracer()
+    with tracer.installed(tracer.Tracer()) as t:
+        assert cli.main(["ghilb", "--k", "3", "--phi", "c2", "--evaluate"]) == 0
+    capsys.readouterr()
+    metrics = tracer.layer_metrics(t.spans)
+    assert metrics["assemble.calls"] == 1
+    assert metrics["residue.calls"] == 4  # one per distinct problem of the 5 terms
+    assert metrics["poly.format_bytes"] > 0
+    # the patches are undone
+    assert cli.format_poly is format_poly
