@@ -39,11 +39,8 @@ Difference-factor convention: the numerator takes one factor (z_i - z_j)
 for every ordered pair i != j with w(i) <= w(j).  Equal weights thus
 contribute -(z_i - z_j)^2, strictly increasing weights a single factor.
 
-Every assembly product (difference factors, epd, Chern classes and
-their powers, Segre factors, the Whitney sum and phi) runs under
-DEFAULT_TERM_BUDGET, the budget iterated_residue uses; a
-TermBudgetExceeded raised by a product into the numerator says it was
-raised while assembling the numerator.
+A TermBudgetExceeded raised while a builder assembles its problems
+says so in its message.
 """
 
 from __future__ import annotations
@@ -54,13 +51,14 @@ import warnings
 from fractions import Fraction
 from functools import reduce
 
+from . import poly
 from .chern import (
     BundleModel,
-    SURFACE_BASIS,
     SurfaceModel,
     TopDegreeSelection,
     chern_classes,
     elementary_symmetric,
+    generic_surface,
     segre_factor,
     select_top_degree,
     twisted_roots,
@@ -77,7 +75,7 @@ from .diagrams import (
 from .multidegree import balanced_dual_text, nakajima_dual
 from .poly import LinearForm, MPoly, TermBudgetExceeded, VariableContext, parse_poly
 from .record import Record, replace
-from .residue import DEFAULT_TERM_BUDGET, ResidueProblem, iterated_residue
+from .residue import ResidueProblem, iterated_residue
 
 
 class AlgebraSpec(Record):
@@ -170,7 +168,7 @@ def _apply_phi(ctx: VariableContext, phi_terms, chern) -> MPoly:
     for coef, powers in phi_terms:
         term = MPoly.const(ctx, coef)
         for m, p in sorted(powers.items()):
-            term = _num_mul(term, chern[m].pow(p, budget=DEFAULT_TERM_BUDGET))
+            term = term.mul(chern[m].pow(p))
         total = total + term
     return total
 
@@ -181,7 +179,7 @@ def _whitney(total: list, block: list) -> list:
     for j in range(len(total)):
         c = total[j]  # times c_0(F) = 1
         for b in range(1, j + 1):
-            c = c + _num_mul(total[j - b], block[b])
+            c = c + total[j - b].mul(block[b])
         out.append(c)
     return out
 
@@ -189,20 +187,12 @@ def _whitney(total: list, block: list) -> list:
 # -- shared factor builders ----------------------------------------------
 
 
-def _num_mul(num: MPoly, factor: MPoly) -> MPoly:
-    """num * factor under DEFAULT_TERM_BUDGET, for every numerator product."""
-    try:
-        return num.mul(factor, budget=DEFAULT_TERM_BUDGET)
-    except TermBudgetExceeded as exc:
-        raise TermBudgetExceeded("%s while assembling the numerator" % exc) from None
-
-
 def _difference_factors(num: MPoly, names, weights) -> MPoly:
     """num times (z_i - z_j) over ordered pairs i != j with w(i) <= w(j)."""
     ctx = num.ctx
     for i, j in itertools.permutations(range(len(names)), 2):
         if weights[i] <= weights[j]:
-            num = _num_mul(num, MPoly.var(ctx, names[i]) - MPoly.var(ctx, names[j]))
+            num = num.mul(MPoly.var(ctx, names[i]) - MPoly.var(ctx, names[j]))
     return num
 
 
@@ -353,13 +343,13 @@ def _block_pieces(block_data, bundle, surface, d: int, whole: bool) -> _BlockPie
     num = _difference_factors(MPoly.const(ctx, 1), names, weights)
     if block_alg.epd is not None:
         epd = parse_poly(ctx, block_alg.epd)
-        num = _num_mul(num, _check_epd(epd, "epd %r" % block_alg.epd))
+        num = num.mul(_check_epd(epd, "epd %r" % block_alg.epd))
     laurents = []
     if names or coef != 1:
         laurents.append(MPoly(ctx, {exps + (0,) * len(geometry): coef}))
-    laurents.extend(segre_factor(ctx, n, surface, budget=DEFAULT_TERM_BUDGET) for n in names)
+    laurents.extend(segre_factor(ctx, n, surface) for n in names)
     roots = twisted_roots(ctx, bundle, [MPoly.var(ctx, n) for n in names])
-    chern = chern_classes(ctx, roots, d, budget=DEFAULT_TERM_BUDGET)
+    chern = chern_classes(ctx, roots, d)
     return _BlockPieces(ctx, num, _pair_sums(weights), tuple(laurents), chern)
 
 
@@ -367,19 +357,20 @@ def _check_partition_count(s: int) -> None:
     """Refuse a support of s points with more set partitions than the budget.
 
     Row n of the Bell triangle ends in Bell(n + 1), and the rows grow, so
-    the count stops at the first row over DEFAULT_TERM_BUDGET.
+    the count stops at the first row over the kernel's term budget.
     """
+    budget = poly.DEFAULT_TERM_BUDGET
     row = [1]
     while len(row) < s:
         nxt = [row[-1]]
         for x in row:
             nxt.append(nxt[-1] + x)
         row = nxt
-        if row[-1] > DEFAULT_TERM_BUDGET:
+        if row[-1] > budget:
             raise TermBudgetExceeded(
                 "a support of %d points has %s%d set partitions, more than the "
                 "term budget %d, while assembling the problems"
-                % (s, "" if len(row) == s else "at least ", row[-1], DEFAULT_TERM_BUDGET)
+                % (s, "" if len(row) == s else "at least ", row[-1], budget)
             )
 
 
@@ -407,7 +398,8 @@ def assemble_geometric(
     once, so consumers may memoize by object identity.
 
     A support with more set partitions than DEFAULT_TERM_BUDGET raises
-    TermBudgetExceeded before any partition is enumerated.
+    TermBudgetExceeded before any partition is enumerated.  A product
+    that outgrows the budget raises it with this layer named.
     """
     s = len(spec.algebras)
     _check_partition_count(s)
@@ -419,27 +411,30 @@ def assemble_geometric(
     pieces = []
     problems = {}  # tuple of piece indices -> the one problem built for it
     out = []
-    for alpha in set_partitions(s):
-        for block in alpha:
-            if block not in index:
-                content = (
-                    tuple(spec.algebras[x - 1] for x in block),
-                    spec.block_epd(block),
-                    spec.duals.get(frozenset(block)) if spec.duals else None,
-                )
-                i = by_content.get(content)
-                if i is None:
-                    data = _sum_block(spec, block, surface.dim)
-                    i = by_data.get(data)
+    try:
+        for alpha in set_partitions(s):
+            for block in alpha:
+                if block not in index:
+                    content = (
+                        tuple(spec.algebras[x - 1] for x in block),
+                        spec.block_epd(block),
+                        spec.duals.get(frozenset(block)) if spec.duals else None,
+                    )
+                    i = by_content.get(content)
                     if i is None:
-                        i = by_data[data] = len(pieces)
-                        pieces.append(_block_pieces(data, bundle, surface, d, len(block) == s))
-                    by_content[content] = i
-                index[block] = i
-        key = tuple(index[block] for block in alpha)
-        if key not in problems:
-            problems[key] = _partition_problem([pieces[i] for i in key], phi_terms, surface.dim)
-        out.append((alpha, problems[key]))
+                        data = _sum_block(spec, block, surface.dim)
+                        i = by_data.get(data)
+                        if i is None:
+                            i = by_data[data] = len(pieces)
+                            pieces.append(_block_pieces(data, bundle, surface, d, len(block) == s))
+                        by_content[content] = i
+                    index[block] = i
+            key = tuple(index[block] for block in alpha)
+            if key not in problems:
+                problems[key] = _partition_problem([pieces[i] for i in key], phi_terms, surface.dim)
+            out.append((alpha, problems[key]))
+    except TermBudgetExceeded as exc:
+        raise TermBudgetExceeded("%s while assembling the problems" % exc) from None
     return out
 
 
@@ -473,15 +468,15 @@ def _partition_problem(pieces, phi_terms, dim: int) -> ResidueProblem:
             slot_maps.append((*range(z, z + m), *range(g, g + n)))
             z, g = z + m, g + n
 
-    def place(poly, slots):
-        return poly if t == 1 else poly.relabel(ctx, slots)
+    def place(piece, slots):
+        return piece if t == 1 else piece.relabel(ctx, slots)
 
     blocks = list(zip(pieces, slot_maps))
     forms = [f for p, slots in blocks for f in _pair_sum_forms(ctx, slots, p.pair_sums)]
     laurents = [place(f, slots) for p, slots in blocks for f in p.laurents]
-    num = reduce(_num_mul, [place(p.numerator, slots) for p, slots in blocks])
+    num = reduce(MPoly.mul, [place(p.numerator, slots) for p, slots in blocks])
     chern = reduce(_whitney, [[place(c, slots) for c in p.chern] for p, slots in blocks])
-    num = _num_mul(num, _apply_phi(ctx, phi_terms, chern))
+    num = num.mul(_apply_phi(ctx, phi_terms, chern))
     return ResidueProblem(
         ctx=ctx,
         numerator=num,
@@ -564,13 +559,8 @@ def severi_bundle() -> BundleModel:
     return BundleModel(rank=1, roots=("L",))
 
 
-def assemble_severi(
-    r: int,
-    epd: str | None = None,
-    prefactor=None,
-    surface: SurfaceModel | None = None,
-) -> ResidueProblem:
-    """Nodal-degree residue problem; evaluate() on it yields a_r.
+def assemble_severi(r: int, epd: str | None = None, prefactor=None) -> ResidueProblem:
+    """Nodal-degree residue problem on the generic surface; evaluate() on it yields a_r.
 
     One rule builds every r.  Box x^a*y^b weighs 3a + 5b; the contour is
     the box variables sorted by weight, and the denominators are the
@@ -578,13 +568,13 @@ def assemble_severi(
     geometric subset.  Any y-weight strictly between 1.5 and 2 times the
     x-weight gives the same forms.  r = 1 and r = 2 carry the prefactors
     of SEVERI_PREFACTOR.  For r >= 3 the template is emitted with a
-    warning, since no published value pins its epd and prefactor.
+    warning, since no published value pins its epd and prefactor.  A
+    product that outgrows the term budget raises TermBudgetExceeded with
+    this layer named.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    from .chern import generic_surface
-
-    surface = surface or generic_surface()
+    surface = generic_surface()
     bundle = severi_bundle()
     if r <= 2 and (epd is not None or prefactor is not None):
         raise ValueError("r <= 2 problems are built in; epd/prefactor are fixed")
@@ -603,40 +593,36 @@ def assemble_severi(
 
     # the epd is checked before the numerator it joins is built
     dual = _check_epd(parse_poly(ctx, epd), "epd") if epd is not None else None
-    num = MPoly.const(ctx, 1)
-    for a, b in itertools.combinations(refined_order, 2):
-        num = _num_mul(num, MPoly.var(ctx, a) - MPoly.var(ctx, b))
-    if r == 1:
-        # a single difference is antisymmetric and integrates to 0; the
-        # one-node integrand carries it squared
-        num = _num_mul(num, MPoly.var(ctx, "z10") - MPoly.var(ctx, "z01"))
-    offsets = [MPoly.var(ctx, n) for n in refined_order]
-    roots = twisted_roots(ctx, bundle, offsets)
-    num = _num_mul(num, elementary_symmetric(2 * r, roots, budget=DEFAULT_TERM_BUDGET))
     # the contour is the context's residue order
     forms = _pair_sum_forms(ctx, range(ctx.k), _pair_sums([weight[n] for n in contour]))
-
-    if r > 2:
-        if dual is not None:
-            num = _num_mul(num, dual)
-        warnings.warn(
-            "Severi conventions beyond r=2 are uncalibrated; "
-            "supply epd and prefactor explicitly and validate independently",
-            stacklevel=2,
-        )
-
     laurents = []
     small = [n for n, (a, b) in zip(refined_order, boxes) if b == 0 and a <= r - 1]
     if small:
         laurents.append(_monomial_inverse(ctx, small, 1))
     laurents.append(_monomial_inverse(ctx, refined_order, 2))
-    laurents.extend(
-        segre_factor(ctx, n, surface, budget=DEFAULT_TERM_BUDGET) for n in refined_order
-    )
+    try:
+        # strictly increasing weights: one factor z_i - z_j per pair i < j
+        num = _difference_factors(MPoly.const(ctx, 1), refined_order, range(len(refined_order)))
+        if r == 1:
+            # a single difference is antisymmetric and integrates to 0; the
+            # one-node integrand carries it squared
+            num = num.mul(MPoly.var(ctx, "z10") - MPoly.var(ctx, "z01"))
+        roots = twisted_roots(ctx, bundle, [MPoly.var(ctx, n) for n in refined_order])
+        num = num.mul(elementary_symmetric(2 * r, roots))
+        if dual is not None:
+            num = num.mul(dual)
+        laurents.extend(segre_factor(ctx, n, surface) for n in refined_order)
+    except TermBudgetExceeded as exc:
+        raise TermBudgetExceeded("%s while assembling the problem" % exc) from None
 
     if r <= 2:
         pref = SEVERI_PREFACTOR[r]
     else:
+        warnings.warn(
+            "Severi conventions beyond r=2 are uncalibrated; "
+            "supply epd and prefactor explicitly and validate independently",
+            stacklevel=2,
+        )
         pref = Fraction(prefactor) if prefactor is not None else Fraction(1)
 
     return ResidueProblem(
@@ -652,19 +638,14 @@ def assemble_severi(
 
 
 def evaluate(
-    problem: ResidueProblem,
-    surface: SurfaceModel,
-    basis=SURFACE_BASIS,
-    term_budget: int = DEFAULT_TERM_BUDGET,
+    problem: ResidueProblem, surface: SurfaceModel, term_budget: int | None = None
 ) -> TopDegreeSelection:
-    """iterated_residue followed by top-degree selection over the basis."""
+    """iterated_residue followed by top-degree selection over the surface basis."""
     res = iterated_residue(problem, term_budget=term_budget)
-    return select_top_degree(res, surface, basis)
+    return select_top_degree(res, surface)
 
 
 def severi_coefficient(r: int):
     """The nodal coefficient a_r as a coefficient map (r <= 2)."""
-    from .chern import generic_surface
-
     problem = assemble_severi(r)
     return evaluate(problem, generic_surface())

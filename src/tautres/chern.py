@@ -79,36 +79,33 @@ def twisted_roots(ctx: VariableContext, bundle: BundleModel, offsets) -> list:
     return out
 
 
-def chern_classes(ctx: VariableContext, roots, d: int, budget: int | None = None) -> list:
+def chern_classes(ctx: VariableContext, roots, d: int) -> list:
     """[e_0, ..., e_d] of the roots (MPoly values in ctx), in one pass.
 
-    These are c_0..c_d of a bundle with those Chern roots.  budget caps
-    each product as in MPoly.mul.
+    These are c_0..c_d of a bundle with those Chern roots.
     """
     e = [MPoly.const(ctx, 1)] + [MPoly.zero(ctx)] * d
     for n, root in enumerate(roots, start=1):
         # e_j of the first n roots is zero for j > n
         for j in range(min(d, n), 0, -1):
-            e[j] = e[j] + e[j - 1].mul(root, budget=budget)
+            e[j] = e[j] + e[j - 1].mul(root)
     return e
 
 
-def elementary_symmetric(m: int, roots, budget: int | None = None) -> MPoly:
+def elementary_symmetric(m: int, roots) -> MPoly:
     roots = list(roots)
     if m < 0:
         raise ValueError("e_%d undefined" % m)
     if not roots:
         raise ValueError("need at least one root to fix the context")
-    return chern_classes(roots[0].ctx, roots, m, budget)[m]
+    return chern_classes(roots[0].ctx, roots, m)[m]
 
 
-def segre_factor(
-    ctx: VariableContext, var_name: str, surface: SurfaceModel, budget: int | None = None
-) -> MPoly:
+def segre_factor(ctx: VariableContext, var_name: str, surface: SurfaceModel) -> MPoly:
     """Total Segre factor 1 + s_1/z + ... + s_n/z^n as a Laurent MPoly."""
     out = MPoly.const(ctx, 1)
     for i, text in enumerate(surface.segre_values, start=1):
-        out = out + parse_poly(ctx, text).mul(MPoly.var(ctx, var_name, -i), budget=budget)
+        out = out + parse_poly(ctx, text).mul(MPoly.var(ctx, var_name, -i))
     return out
 
 

@@ -26,9 +26,7 @@ Tokens are ASCII, whitespace is insignificant, ``#`` starts a comment.
 Weights may be omitted (all lines or none).  The geometry symbols are
 the bundle root ``L`` plus the surface's Chern symbols.
 
-Every product that builds the numerator or a Segre factor runs under
-DEFAULT_TERM_BUDGET, the budget iterated_residue uses; a
-TermBudgetExceeded raised while building the numerator names the line.
+A TermBudgetExceeded raised while building the numerator names the line.
 """
 
 from __future__ import annotations
@@ -52,7 +50,7 @@ from .poly import (
     split_power,
 )
 from .record import Record
-from .residue import DEFAULT_TERM_BUDGET, ResidueProblem
+from .residue import ResidueProblem
 
 
 class ConfigError(ValueError):
@@ -235,18 +233,18 @@ def _monomial_denominator(ctx: VariableContext, text: str) -> MPoly | None:
 
 
 def _numerator_factor(ctx: VariableContext, bundle: BundleModel, line: str) -> MPoly:
-    """One [numerator] line as a polynomial, its products under DEFAULT_TERM_BUDGET."""
+    """One [numerator] line as a polynomial."""
     parts = line.split()
     if parts and parts[0] == "chern":
         if len(parts) != 2:
             raise ConfigError("chern clause needs one integer: %r" % line)
         offsets = [MPoly.var(ctx, n) for n in ctx.residue_vars]
         roots = twisted_roots(ctx, bundle, offsets)
-        return elementary_symmetric(int(parts[1]), roots, budget=DEFAULT_TERM_BUDGET)
+        return elementary_symmetric(int(parts[1]), roots)
     try:
         if line.lstrip().startswith("("):
             form = parse_linear_form(ctx, line)
-            return form.as_poly().pow(form.multiplicity, budget=DEFAULT_TERM_BUDGET)
+            return form.as_poly().pow(form.multiplicity)
         return parse_poly(ctx, line)
     except (ValueError, KeyError) as exc:
         raise ConfigError("bad numerator line %r: %s" % (line, exc)) from None
@@ -273,7 +271,7 @@ def build_problem(cfg: ProblemConfig):
     num = MPoly.const(ctx, 1)
     for line in cfg.numerator_lines:
         try:
-            num = num.mul(_numerator_factor(ctx, bundle, line), budget=DEFAULT_TERM_BUDGET)
+            num = num.mul(_numerator_factor(ctx, bundle, line))
         except TermBudgetExceeded as exc:
             raise TermBudgetExceeded("%s in the config numerator line %r" % (exc, line)) from None
 
@@ -297,7 +295,7 @@ def build_problem(cfg: ProblemConfig):
     for v in cfg.segre_vars:
         if v not in names:
             raise ConfigError("segre var %r is not a declared variable" % v)
-        laurents.append(segre_factor(ctx, v, surface, budget=DEFAULT_TERM_BUDGET))
+        laurents.append(segre_factor(ctx, v, surface))
 
     try:
         problem = ResidueProblem(

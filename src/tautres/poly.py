@@ -34,6 +34,14 @@ residue variables and its geometry copy.
 ``MPoly(ctx, {exponent tuple: rational})`` constructs a polynomial, and
 ``p.terms`` is a read-only ``{exponent tuple: Fraction}`` view, decoded
 on first use and cached.  No floats enter anywhere in this module.
+
+Term budget.  Every product of two polynomials runs through
+``MPoly.mul``, which refuses, with TermBudgetExceeded, a product that
+grows past its budget; a caller that gives none gets
+DEFAULT_TERM_BUDGET, read at call time.  There is no unbudgeted
+product, so ``*``, ``pow`` and every helper built on them hold the
+budget without passing one along.  Callers catch the error where they
+can name the layer it was raised in.
 """
 
 from __future__ import annotations
@@ -59,6 +67,8 @@ _BIAS = 1 << (FIELD_BITS - 1)
 # inside [0, 2^FIELD_BITS)
 EXP_MIN = -(1 << (FIELD_BITS - 2))
 EXP_MAX = (1 << (FIELD_BITS - 2)) - 1
+
+DEFAULT_TERM_BUDGET = 10_000_000
 
 
 class TermBudgetExceeded(RuntimeError):
@@ -203,10 +213,6 @@ class MPoly:
             raise _out_of_range(exp)
         return _make(ctx, {ctx._zero + exp * ctx._units[i]: 1})
 
-    @classmethod
-    def from_terms(cls, ctx: VariableContext, terms: Mapping) -> "MPoly":
-        return cls(ctx, terms)
-
     # -- predicates ---------------------------------------------------
 
     def __len__(self) -> int:
@@ -268,16 +274,19 @@ class MPoly:
     __rmul__ = __mul__
 
     def mul(self, other: "MPoly", window: tuple | None = None, budget: int | None = None) -> "MPoly":
-        """The product kernel: self * other, optionally windowed and budgeted.
+        """The product kernel: self * other, optionally windowed, always budgeted.
 
         window = (i, lo, hi) keeps only the terms whose exponent of
         variable i lies in [lo, hi].  The right operand is sorted once by
         that exponent, so each left term visits only the slice of it that
         can land in the window.  budget caps the number of terms of the
-        growing product; it is checked after each left term, and
-        TermBudgetExceeded names the windowed variable.
+        growing product, DEFAULT_TERM_BUDGET when None; it is checked
+        after each left term, and TermBudgetExceeded names the windowed
+        variable.
         """
         self._check(other)
+        if budget is None:
+            budget = DEFAULT_TERM_BUDGET
         ctx = self.ctx
         limit, bias = ctx._cap_limit, ctx._zero
         right = list(other._t.items())
@@ -303,7 +312,7 @@ class MPoly:
                     terms[key] = acc
                 else:
                     del terms[key]
-            if budget is not None and len(terms) > budget:
+            if len(terms) > budget:
                 where = "" if window is None else " while eliminating %s" % ctx.names[window[0]]
                 raise TermBudgetExceeded(
                     "intermediate size %d exceeds budget %d%s" % (len(terms), budget, where)
@@ -321,18 +330,18 @@ class MPoly:
         a = value.numerator
         return _reduced(self.ctx, {k: c * a for k, c in self._t.items()}, self._den * value.denominator)
 
-    def pow(self, n: int, budget: int | None = None) -> "MPoly":
-        """self^n by repeated squaring; budget caps each product as in :meth:`mul`."""
+    def pow(self, n: int) -> "MPoly":
+        """self^n by repeated squaring."""
         if n < 0:
             raise ValueError("negative power on MPoly")
         out = MPoly.const(self.ctx, 1)
         base = self
         while n:
             if n & 1:
-                out = out.mul(base, budget=budget)
+                out = out.mul(base)
             base_needed = n >> 1
             if base_needed:
-                base = base.mul(base, budget=budget)
+                base = base.mul(base)
             n = base_needed
         return out
 

@@ -34,11 +34,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .poly import LinearForm, MPoly, TermBudgetExceeded, VariableContext
+# DEFAULT_TERM_BUDGET is re-exported; MPoly.mul reads it from poly
+from .poly import DEFAULT_TERM_BUDGET, LinearForm, MPoly, TermBudgetExceeded, VariableContext
 from .record import Record
-
-
-DEFAULT_TERM_BUDGET = 10_000_000
 
 
 class Expansion(Record):
@@ -54,13 +52,13 @@ class Expansion(Record):
 
 
 def expand_inverse_at_infinity(
-    form: LinearForm, lower_cutoff: int, var: str | None = None, budget: int | None = None
+    form: LinearForm, lower_cutoff: int, budget: int | None = None
 ) -> Expansion:
     """Expand 1/form^mult at infinity in the form's leading variable.
 
-    Keeps exponents >= lower_cutoff.  budget caps each product as in
-    MPoly.mul, and TermBudgetExceeded names t, the variable whose
-    elimination step the expansion belongs to.  With form = a*t + r
+    Keeps exponents >= lower_cutoff.  budget is passed to MPoly.mul, and
+    TermBudgetExceeded names t, the variable whose elimination step the
+    expansion belongs to.  With form = a*t + r
     (t leading, r the smaller-variable rest):
 
         1/(a t + r)^m = sum_j C(m+j-1, j) (-r)^j a^(-m-j) t^(-m-j)
@@ -69,8 +67,6 @@ def expand_inverse_at_infinity(
     i = form.leading_index()
     if i is None:
         raise ValueError("no residue variable in %r" % form)
-    if var is not None and ctx.index(var) != i:
-        raise ValueError("expansion variable %r is not the leading variable of %r" % (var, form))
     a = form.z_coeffs[i]
     rest = form.as_poly() - MPoly.var(ctx, ctx.names[i]).scale(a)
     m = form.multiplicity
@@ -133,9 +129,10 @@ def _outermost_variable(p: MPoly) -> int | None:
     )
 
 
-def iterated_residue(problem: ResidueProblem, term_budget: int = DEFAULT_TERM_BUDGET) -> MPoly:
+def iterated_residue(problem: ResidueProblem, term_budget: int | None = None) -> MPoly:
     """Evaluate the iterated residue; result involves geometry symbols only.
 
+    term_budget is passed to every product (None: the kernel's default).
     Raises TermBudgetExceeded rather than degrading precision.
     """
     ctx = problem.ctx

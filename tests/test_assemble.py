@@ -454,7 +454,42 @@ def test_every_assembly_and_elimination_product_is_budgeted(monkeypatch):
     problems.append(assemble_severi(2))
     for prob in problems:
         iterated_residue(prob)
-    assert budgets and None not in budgets
+    # none sets its own budget, so MPoly.mul holds each to the kernel's
+    assert budgets and set(budgets) == {None}
+
+
+@pytest.mark.parametrize(
+    "budget,build,message",
+    [
+        # a power of phi: squaring the block's 7-term c2 on the way to c2^4
+        (
+            30,
+            lambda: assemble_punctual(AlgebraSpec(4, (2, 1)), severi_bundle(), SURFACE, "c2^4"),
+            "intermediate size 36 exceeds budget 30 while assembling the problems",
+        ),
+        # the Segre factor of the one variable, a Laurent piece
+        (
+            1,
+            lambda: assemble_punctual(AlgebraSpec(2, (1,)), severi_bundle(), SURFACE, "c2"),
+            "intermediate size 2 exceeds budget 1 while assembling the problems",
+        ),
+        (
+            30,
+            lambda: assemble_ghilb(4, severi_bundle(), SURFACE, "c1^3*c2 + c3^2"),
+            "intermediate size 32 exceeds budget 30 while assembling the problems",
+        ),
+        (
+            30,
+            lambda: assemble_severi(2),
+            "intermediate size 32 exceeds budget 30 while assembling the problem",
+        ),
+    ],
+    ids=["punctual-phi-power", "punctual-segre", "ghilb", "severi"],
+)
+def test_assembly_over_budget_names_the_layer(monkeypatch, budget, build, message):
+    monkeypatch.setattr("tautres.poly.DEFAULT_TERM_BUDGET", budget)
+    with pytest.raises(TermBudgetExceeded, match="^%s$" % re.escape(message)):
+        build()
 
 
 def test_support_with_too_many_partitions_is_refused_unenumerated(monkeypatch):
@@ -485,9 +520,7 @@ def test_severi_one_node_structure():
     roots = twisted_roots(ctx, severi_bundle(), [MPoly.var(ctx, "z10"), MPoly.var(ctx, "z01")])
     assert prob.numerator == diff * diff * elementary_symmetric(2, roots)
     assert len(prob.laurent_prefactors) == 3
-    assert prob.laurent_prefactors[0] == MPoly.from_terms(
-        ctx, {(-2, -2, 0, 0, 0): 1}
-    )
+    assert prob.laurent_prefactors[0] == MPoly(ctx, {(-2, -2, 0, 0, 0): 1})
 
 
 def test_severi_two_node_structure():

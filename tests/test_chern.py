@@ -9,6 +9,7 @@ from tautres.chern import (
     SURFACE_BASIS,
     SURFACE_PRESETS,
     SurfaceModel,
+    chern_classes,
     elementary_symmetric,
     generic_surface,
     p2_surface,
@@ -17,7 +18,7 @@ from tautres.chern import (
     select_top_degree,
     twisted_roots,
 )
-from tautres.poly import MPoly, VariableContext, format_poly, parse_poly
+from tautres.poly import MPoly, TermBudgetExceeded, VariableContext, format_poly, parse_poly
 
 
 CTX = VariableContext(
@@ -69,6 +70,23 @@ def test_segre_factor_generic_surface():
         + (c1 * c1 - c2) * MPoly.var(CTX, "z1", -2)
     )
     assert s == want
+
+
+def test_chern_and_segre_products_hold_the_kernel_budget(monkeypatch):
+    roots = twisted_roots(CTX, BundleModel(rank=1, roots=("L",)), [MPoly.var(CTX, "z1")])
+    # e_2 = L^2 + L*z1 and the Segre term (c1^2 - c2)*z1^-2 have 2 terms each
+    builds = [
+        lambda: chern_classes(CTX, roots, 2),
+        lambda: elementary_symmetric(2, roots),
+        lambda: segre_factor(CTX, "z1", generic_surface()),
+    ]
+    monkeypatch.setattr("tautres.poly.DEFAULT_TERM_BUDGET", 1)
+    for build in builds:
+        with pytest.raises(TermBudgetExceeded, match="size 2 exceeds budget 1$"):
+            build()
+    monkeypatch.setattr("tautres.poly.DEFAULT_TERM_BUDGET", 2)
+    for build in builds:
+        build()
 
 
 def test_surface_presets():

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from tautres import assemble, cli, config
+from tautres import assemble, cli
 from tautres.config import (
     ConfigError,
     build_problem,
@@ -134,7 +134,7 @@ def test_build_problem_denominator_split():
     # plain monomials become exact inverse Laurent factors
     assert prob.laurent_prefactors == (
         MPoly.var(ctx, "z1", -1),
-        MPoly.from_terms(ctx, {(-2, -2, 0, 0, 0): 1}),
+        MPoly(ctx, {(-2, -2, 0, 0, 0): 1}),
     )
     assert [repr(f) for f in prob.denominator] == ["(2*z1 - z2)", "(z1 + z2)"]
 
@@ -168,11 +168,12 @@ def test_every_config_product_is_budgeted(monkeypatch, name):
 
     monkeypatch.setattr(MPoly, "mul", spy)
     build_problem(load_config(CONFIGS / name))
-    assert budgets and None not in budgets
+    # none sets its own budget, so MPoly.mul holds each to the kernel's
+    assert budgets and set(budgets) == {None}
 
 
 def test_config_numerator_over_budget_names_its_line(monkeypatch):
-    monkeypatch.setattr(config, "DEFAULT_TERM_BUDGET", 4)
+    monkeypatch.setattr("tautres.poly.DEFAULT_TERM_BUDGET", 4)
     cfg = "[vars]\nz1\nz2\n[numerator]\n(z1 - z2)\n%s\n"
     for line in ("(z1 + z2 + L)^3", "chern 2", "z1^2 + z1*z2 + z2^2 + L^2 + 1"):
         where = re.escape("in the config numerator line %r" % line)

@@ -114,13 +114,26 @@ def test_dim_cap_drops_deep_geometry():
     assert c1 * c1 == MPoly.var(capped, "c1", 2)
 
 
-def test_mul_budget_caps_the_growing_product():
+def test_mul_budget_caps_the_growing_product(monkeypatch):
     z = V("z1")
     q = 1 - z + z ** 2 - z ** 3
     # one row already holds 4 terms, though the whole product 1 - z^4 has 2
     with pytest.raises(TermBudgetExceeded, match="while eliminating z1$"):
         (1 + z).mul(q, window=(0, -4, 4), budget=3)
     assert (1 + z).mul(q, budget=4) == 1 - z ** 4
+    # without a budget argument every product holds the kernel's budget
+    monkeypatch.setattr("tautres.poly.DEFAULT_TERM_BUDGET", 3)
+    for product in (lambda: (1 + z).mul(q), lambda: (1 + z) * q):
+        with pytest.raises(TermBudgetExceeded, match="size 4 exceeds budget 3$"):
+            product()
+    monkeypatch.setattr("tautres.poly.DEFAULT_TERM_BUDGET", 4)
+    assert (1 + z) * q == 1 - z ** 4
+    s = 1 + z + V("L")  # its square has 6 terms
+    monkeypatch.setattr("tautres.poly.DEFAULT_TERM_BUDGET", 5)
+    with pytest.raises(TermBudgetExceeded, match="size 6 exceeds budget 5$"):
+        s.pow(2)
+    monkeypatch.setattr("tautres.poly.DEFAULT_TERM_BUDGET", 6)
+    assert len(s ** 2) == 6
 
 
 # -- canonical text form ----------------------------------------------------
@@ -180,7 +193,7 @@ def small_polys(draw):
         )
         coef = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 5)))
         terms[key] = terms.get(key, 0) + coef
-    return MPoly.from_terms(CTX, terms)
+    return MPoly(CTX, terms)
 
 
 @given(small_polys(), small_polys(), small_polys())
@@ -250,7 +263,7 @@ windows = st.none() | st.tuples(st.integers(0, 1), st.integers(-8, 4), st.intege
 @given(capped_polys(), capped_polys(), windows)
 @settings(max_examples=150, deadline=None)
 def test_kernel_matches_the_reference_product(p, q, window):
-    assert p.mul(q, window=window, budget=None).terms == reference_product(p, q, window)
+    assert p.mul(q, window=window).terms == reference_product(p, q, window)
 
 
 @given(capped_polys())

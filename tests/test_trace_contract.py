@@ -10,7 +10,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from tautres import cli
+from tautres import assemble, cli
 from tautres.assemble import AlgebraSpec, assemble_ghilb, assemble_punctual, severi_bundle
 from tautres.chern import generic_surface
 from tautres.poly import MPoly, format_poly
@@ -53,3 +53,19 @@ def test_a_traced_cli_call_records_its_layers(capsys):
     assert metrics["poly.format_bytes"] > 0
     # the patches are undone
     assert cli.format_poly is format_poly
+
+
+def test_a_traced_punctual_evaluation_records_its_layers():
+    # the in-process path of the benchmark's punctual workload, called
+    # through the module names the tracer patches
+    tracer = load_tracer()
+    surface = generic_surface()
+    with tracer.installed(tracer.Tracer()) as t:
+        problem = assemble.assemble_punctual(AlgebraSpec(4, (2, 1)), severi_bundle(), surface, "c2")
+        assemble.evaluate(problem, surface)
+    metrics = tracer.layer_metrics(t.spans)
+    assert metrics["assemble.calls"] == 1
+    assert metrics["residue.calls"] == 1
+    assert metrics["residue.expand_calls"] > 0
+    assert metrics["assemble.num_terms"] > 0
+    assert assemble.assemble_punctual is assemble_punctual
