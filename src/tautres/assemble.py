@@ -26,6 +26,10 @@ builders therefore return the same ResidueProblem object for every
 partition with equal ordered block data, built once; for k points
 assemble_ghilb returns Bell(k) terms over 2^(k-1) problems, one per
 ordered block-size sequence.  Consumers may memoize by object identity.
+Orders of one multiset of blocks differ only by renaming, so only the
+first order seen is multiplied out (p(k) of the 2^(k-1) for
+assemble_ghilb); each other order relabels its numerator and says so in
+its relabel_of, so that its residue can be relabelled too.
 A support with more set partitions than DEFAULT_TERM_BUDGET is refused
 before any is enumerated.
 
@@ -163,9 +167,14 @@ def normalize_phi(phi):
 
 
 def _apply_phi(ctx: VariableContext, phi_terms, chern) -> MPoly:
-    """The normalized Chern polynomial phi_terms at the classes chern[m] = c_m."""
+    """The normalized Chern polynomial phi_terms at the classes chern[m] = c_m.
+
+    A class past the end of chern is 0, so a term that has it drops out.
+    """
     total = MPoly.zero(ctx)
     for coef, powers in phi_terms:
+        if any(m >= len(chern) for m in powers):
+            continue
         term = MPoly.const(ctx, coef)
         for m, p in sorted(powers.items()):
             term = term.mul(chern[m].pow(p))
@@ -173,12 +182,16 @@ def _apply_phi(ctx: VariableContext, phi_terms, chern) -> MPoly:
     return total
 
 
-def _whitney(total: list, block: list) -> list:
-    """c_0..c_d of a direct sum from those of its summands: c(E + F) = c(E) c(F)."""
+def _whitney(total: list, block: list, d: int) -> list:
+    """c_0..c_d of a direct sum from those of its summands: c(E + F) = c(E) c(F).
+
+    Each list stops at its bundle's rank or at d, a missing class being 0;
+    so does the sum's.
+    """
     out = []
-    for j in range(len(total)):
-        c = total[j]  # times c_0(F) = 1
-        for b in range(1, j + 1):
+    for j in range(min(d, len(total) + len(block) - 2) + 1):
+        c = total[j] if j < len(total) else MPoly.zero(block[0].ctx)  # times c_0(F) = 1
+        for b in range(max(1, j - len(total) + 1), min(j, len(block) - 1) + 1):
             c = c + total[j - b].mul(block[b])
         out.append(c)
     return out
@@ -317,7 +330,7 @@ class _BlockPieces(Record):
     laurents: the Laurent monomial, when not 1, then one Segre factor
         per variable.
     chern: c_0..c_d of the block's twisted roots, d the largest Chern
-        index in phi.
+        index in phi or the block bundle's rank, whichever is smaller.
     """
 
     ctx: VariableContext
@@ -349,7 +362,7 @@ def _block_pieces(block_data, bundle, surface, d: int, whole: bool) -> _BlockPie
         laurents.append(MPoly(ctx, {exps + (0,) * len(geometry): coef}))
     laurents.extend(segre_factor(ctx, n, surface) for n in names)
     roots = twisted_roots(ctx, bundle, [MPoly.var(ctx, n) for n in names])
-    chern = chern_classes(ctx, roots, d)
+    chern = chern_classes(ctx, roots, min(d, len(roots)))
     return _BlockPieces(ctx, num, _pair_sums(weights), tuple(laurents), chern)
 
 
@@ -395,7 +408,11 @@ def assemble_geometric(
     blocks' pieces.  A partition's problem depends only on its blocks'
     data in order: sum algebra, weights and collision dual.  Partitions
     with equal ordered block data get the same problem object, built
-    once, so consumers may memoize by object identity.
+    once, so consumers may memoize by object identity.  Two orders of one
+    multiset of blocks give the same problem up to renaming: the first
+    order seen is multiplied out, and each later order relabels that
+    problem's numerator and records the source and slot map as its
+    relabel_of, so that its residue is a relabel as well.
 
     A support with more set partitions than DEFAULT_TERM_BUDGET raises
     TermBudgetExceeded before any partition is enumerated.  A product
@@ -410,6 +427,7 @@ def assemble_geometric(
     by_data = {}  # blocks with equal _sum_block data share pieces
     pieces = []
     problems = {}  # tuple of piece indices -> the one problem built for it
+    first = {}  # sorted tuple of piece indices -> the first order seen, its problem
     out = []
     try:
         for alpha in set_partitions(s):
@@ -431,57 +449,98 @@ def assemble_geometric(
                     index[block] = i
             key = tuple(index[block] for block in alpha)
             if key not in problems:
-                problems[key] = _partition_problem([pieces[i] for i in key], phi_terms, surface.dim)
+                multiset = tuple(sorted(key))
+                problems[key] = _partition_problem(
+                    pieces, key, phi_terms, d, surface.dim, first.get(multiset)
+                )
+                first.setdefault(multiset, (key, problems[key]))
             out.append((alpha, problems[key]))
     except TermBudgetExceeded as exc:
         raise TermBudgetExceeded("%s while assembling the problems" % exc) from None
     return out
 
 
-def _partition_problem(pieces, phi_terms, dim: int) -> ResidueProblem:
-    """The problem of one partition, from its blocks' pieces in order.
+def _joint_slots(blocks) -> list:
+    """Per block, the joint context's slots of its block-local ones.
+
+    Block l's residue names follow the earlier blocks' residue names, and
+    its geometry copy the earlier copies, after every residue name.
+    """
+    out = []
+    z, g = 0, sum(p.ctx.k for p in blocks)
+    for p in blocks:
+        m, n = p.ctx.k, p.ctx.nvars - p.ctx.k
+        out.append((*range(z, z + m), *range(g, g + n)))
+        z, g = z + m, g + n
+    return out
+
+
+def _partition_problem(pieces, key, phi_terms, d: int, dim: int, source=None) -> ResidueProblem:
+    """The problem of one partition, its blocks' pieces being pieces[i] for i in key.
 
     A one-block partition's context is its block's own, so the pieces
-    enter as built.  Otherwise block l gets the residue names b<l>z1..,
-    after the earlier blocks', and the geometry copy suffixed _<l>; the
+    enter as built.  Otherwise block l gets the residue names b<l>z1..
+    and the geometry copy suffixed _<l>, laid out by _joint_slots; the
     joint dim_cap is dim times the block count, and MPoly.relabel places
     each piece by that slot map.  The bundle's Chern classes are the
     Whitney sum over the blocks.
+
+    source, when given, is (key, problem) of an earlier order of the same
+    blocks.  Forms and Laurent factors are still placed from the pieces,
+    but the numerator is the source's relabelled, and the problem keeps
+    that slot map as relabel_of.  This is exact.  Blocks share no residue
+    variable, form or geometry copy; a reordering keeps the variable
+    order inside each block and the joint cap dim * t.  So the two
+    problems are one rational function up to renaming.  Elimination
+    expands each form in its own block's variables only, so it commutes
+    with the renaming, and the dim_cap cut is a quotient by an ideal,
+    whatever the order of the products.  Equal pieces are matched in
+    order: the integrand is symmetric under swapping two equal blocks.
     """
-    t = len(pieces)
+    blocks = [pieces[i] for i in key]
+    t = len(blocks)
     if t == 1:
-        ctx = pieces[0].ctx
+        ctx = blocks[0].ctx
         slot_maps = [range(ctx.nvars)]
     else:
-        names = [_block_names(t, l, p.ctx.k) for l, p in enumerate(pieces)]
+        names = [_block_names(t, l, p.ctx.k) for l, p in enumerate(blocks)]
         copies = [
             tuple((n + "_%d" % (l + 1), deg) for n, deg in p.ctx.geometry)
-            for l, p in enumerate(pieces)
+            for l, p in enumerate(blocks)
         ]
         ctx = VariableContext(sum(names, ()), sum(copies, ()), dim * t)
-        # block l's residue names follow the earlier blocks' residue names,
-        # and its geometry copy the earlier copies, after every residue name
-        slot_maps = []
-        z, g = 0, ctx.k
-        for p in pieces:
-            m, n = p.ctx.k, p.ctx.nvars - p.ctx.k
-            slot_maps.append((*range(z, z + m), *range(g, g + n)))
-            z, g = z + m, g + n
+        slot_maps = _joint_slots(blocks)
 
     def place(piece, slots):
         return piece if t == 1 else piece.relabel(ctx, slots)
 
-    blocks = list(zip(pieces, slot_maps))
-    forms = [f for p, slots in blocks for f in _pair_sum_forms(ctx, slots, p.pair_sums)]
-    laurents = [place(f, slots) for p, slots in blocks for f in p.laurents]
-    num = reduce(MPoly.mul, [place(p.numerator, slots) for p, slots in blocks])
-    chern = reduce(_whitney, [[place(c, slots) for c in p.chern] for p, slots in blocks])
-    num = num.mul(_apply_phi(ctx, phi_terms, chern))
+    placed = list(zip(blocks, slot_maps))
+    forms = [f for p, slots in placed for f in _pair_sum_forms(ctx, slots, p.pair_sums)]
+    laurents = [place(f, slots) for p, slots in placed for f in p.laurents]
+    relabel_of = None
+    if source is None:
+        num = reduce(MPoly.mul, [place(p.numerator, slots) for p, slots in placed])
+        chern = reduce(
+            lambda total, block: _whitney(total, block, d),
+            [[place(c, slots) for c in p.chern] for p, slots in placed],
+        )
+        num = num.mul(_apply_phi(ctx, phi_terms, chern))
+    else:
+        source_key, source_problem = source
+        source_maps = _joint_slots([pieces[i] for i in source_key])
+        slots = [None] * ctx.nvars
+        # a stable sort by piece lines up equal pieces in order
+        for a, b in zip(*(sorted(range(t), key=k.__getitem__) for k in (source_key, key))):
+            for x, y in zip(source_maps[a], slot_maps[b]):
+                slots[x] = y
+        num = source_problem.numerator.relabel(ctx, slots)
+        relabel_of = (source_problem, tuple(slots))
     return ResidueProblem(
         ctx=ctx,
         numerator=num,
         denominator=tuple(forms),
         laurent_prefactors=tuple(laurents),
+        relabel_of=relabel_of,
     )
 
 
@@ -521,7 +580,8 @@ def assemble_ghilb(
 
     One (partition, problem) per set partition, as assemble_geometric
     gives them: partitions with equal ordered block sizes share one
-    signed problem object.
+    signed problem object, and a relabel points at its source's signed
+    copy.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -540,8 +600,14 @@ def assemble_ghilb(
     for alpha, problem in assemble_geometric(spec, bundle, surface, phi):
         if id(problem) not in signed:
             # the product of the per-block signs (-1)^m, m = |block| - 1;
-            # the block count is fixed by the shared problem's block data
-            signed[id(problem)] = replace(problem, prefactor=Fraction((-1) ** (k - len(alpha))))
+            # the block count is fixed by the shared problem's block data,
+            # so a relabel's source, listed before it, has the same sign
+            relabel_of = problem.relabel_of
+            if relabel_of is not None:
+                relabel_of = (signed[id(relabel_of[0])], relabel_of[1])
+            signed[id(problem)] = replace(
+                problem, prefactor=Fraction((-1) ** (k - len(alpha))), relabel_of=relabel_of
+            )
         out.append((alpha, signed[id(problem)]))
     return out
 

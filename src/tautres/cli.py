@@ -115,12 +115,23 @@ def _cmd_ghilb(args) -> int:
     )
     from .residue import iterated_residue
 
+    residues = {}  # id of an eliminated problem -> its residue
+
+    def residue(problem):
+        # a relabel's residue is its source's, eliminated once, relabelled
+        if problem.relabel_of is not None:
+            source, slots = problem.relabel_of
+            return residue(source).relabel(problem.ctx, slots)
+        if id(problem) not in residues:
+            residues[id(problem)] = iterated_residue(problem)
+        return residues[id(problem)]
+
     bodies = {}  # terms sharing a problem object share its text and residue
     for alpha, problem in terms:
         if id(problem) not in bodies:
             lines = _problem_lines(problem)
             if args.evaluate:
-                lines.append("residue %s" % format_poly(iterated_residue(problem)))
+                lines.append("residue %s" % format_poly(residue(problem)))
             bodies[id(problem)] = "\n".join(lines)
         label = "".join("{%s}" % ",".join(str(x) for x in blk) for blk in alpha)
         print("term %s" % label)

@@ -101,6 +101,11 @@ class ResidueProblem(Record):
         variable; one without residue variables is multiplied in before
         the first step.
     prefactor: global rational constant, applied at the very end.
+    relabel_of: (source, slots) when this problem is the problem source
+        with its slot i renamed to slots[i] (MPoly.relabel), so that its
+        residue is source's residue relabelled the same way.  The source
+        has the same prefactor (checked); a copy that changes the
+        numerator, denominator or Laurent factors must drop it.
     """
 
     ctx: VariableContext
@@ -108,8 +113,11 @@ class ResidueProblem(Record):
     denominator: tuple = ()
     laurent_prefactors: tuple = ()
     prefactor: Fraction = Fraction(1)
+    relabel_of: tuple | None = None
 
     def __post_init__(self):
+        if self.relabel_of is not None and self.relabel_of[0].prefactor != self.prefactor:
+            raise ValueError("a relabelled problem needs its source's prefactor")
         for f in self.denominator:
             if f.ctx != self.ctx:
                 raise ValueError("denominator factor in foreign context")

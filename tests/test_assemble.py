@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from tautres import assemble
 from tautres.assemble import (
     AlgebraSpec,
     GeometricSubsetSpec,
@@ -300,6 +301,60 @@ def test_ghilb_terms_share_one_problem_per_block_size_sequence():
             assert (prob is other) == same_sizes
 
 
+def test_ghilb_multiplies_out_one_problem_per_block_size_multiset(monkeypatch):
+    multiplied = []
+    apply_phi = assemble._apply_phi
+
+    def spy(*args):
+        multiplied.append(args)
+        return apply_phi(*args)
+
+    monkeypatch.setattr(assemble, "_apply_phi", spy)
+    out = assemble_ghilb(5, severi_bundle(), SURFACE, phi="2*c2 - c1^2")
+    assert len(multiplied) == 7  # p(5) block-size multisets
+    sizes = {id(prob): [len(b) for b in alpha] for alpha, prob in out}
+    problems = {id(prob): prob for _, prob in out}
+    assert len(problems) == 16  # still one object per block-size sequence
+    assert sum(prob.relabel_of is None for prob in problems.values()) == 7
+    for prob in problems.values():
+        if prob.relabel_of is not None:
+            source, slots = prob.relabel_of
+            assert source.relabel_of is None and problems[id(source)] is source
+            assert sorted(sizes[id(source)]) == sorted(sizes[id(prob)])
+            assert sizes[id(source)] != sizes[id(prob)]
+            assert source.prefactor == prob.prefactor
+            assert prob.numerator == source.numerator.relabel(prob.ctx, slots)
+
+
+def test_a_relabelled_problem_keeps_its_source_prefactor():
+    out = assemble_ghilb(3, severi_bundle(), SURFACE, phi="c2")
+    prob = next(prob for _, prob in out if prob.relabel_of is not None)
+    with pytest.raises(ValueError, match="source's prefactor"):
+        replace(prob, prefactor=Fraction(2))
+    assert replace(prob, prefactor=Fraction(2), relabel_of=None).prefactor == 2
+
+
+def test_assembly_moves_and_multiplies_no_zero_polynomial(monkeypatch):
+    # a block's Chern classes stop at its bundle's rank, so no zero class
+    # is relabelled into a partition or multiplied in the Whitney sum
+    calls = {"relabel": [], "mul": []}
+    relabel, mul = MPoly.relabel, MPoly.mul
+
+    def relabel_spy(self, ctx, slots):
+        calls["relabel"].append(self.is_zero())
+        return relabel(self, ctx, slots)
+
+    def mul_spy(self, other, window=None, budget=None):
+        calls["mul"].append(self.is_zero() or other.is_zero())
+        return mul(self, other, window=window, budget=budget)
+
+    monkeypatch.setattr(MPoly, "relabel", relabel_spy)
+    monkeypatch.setattr(MPoly, "mul", mul_spy)
+    assemble_ghilb(6, severi_bundle(), generic_surface(), "2*c2-c1^2")
+    assert calls["relabel"] and calls["mul"]
+    assert not any(calls["relabel"]) and not any(calls["mul"])
+
+
 def _digest(*texts):
     return hashlib.sha256("\n".join(texts).encode()).hexdigest()[:16]
 
@@ -398,6 +453,15 @@ def joint_problem(spec, alpha, bundle, surface, phi):
     return ctx, num * value, forms, laurents
 
 
+def assert_relabelled_residues_are_direct(out):
+    """Each relabel's residue, its source's relabelled, is its own residue."""
+    relabels = {id(prob): prob for _, prob in out if prob.relabel_of is not None}
+    for prob in relabels.values():
+        source, slots = prob.relabel_of
+        assert iterated_residue(source).relabel(prob.ctx, slots) == iterated_residue(prob)
+    return len(relabels)
+
+
 def assert_matches_joint_route(out, spec, bundle, surface, phi):
     seen = set()
     for alpha, prob in out:
@@ -432,12 +496,26 @@ def test_block_pieces_match_the_joint_route(phi, q_polys):
             assert prob.prefactor == (-1) ** (k - len(alpha))
 
 
+@pytest.mark.parametrize("q_polys", [None, {1: "z1", 2: "z1*z2", 3: "z1^2*z3"}])
+@pytest.mark.parametrize("phi", ["c2", "2*c2 - c1^2", "c1^3*c2 + c3^2"])
+def test_relabelled_residues_match_direct_elimination(phi, q_polys):
+    relabels = []
+    for k in range(1, 6):
+        q = {m: text for m, text in (q_polys or {}).items() if m < k}
+        out = assemble_ghilb(k, severi_bundle(), SURFACE, phi, q)
+        relabels.append(assert_relabelled_residues_are_direct(out))
+    assert relabels == [0, 0, 1, 3, 9]  # 2^(k-1) - p(k)
+
+
 def test_block_pieces_match_the_joint_route_on_a_mixed_spec():
     triv = AlgebraSpec.trivial()
     spec = GeometricSubsetSpec((triv, AlgebraSpec.morin(2), triv, triv))
     out = assemble_geometric(spec, severi_bundle(), SURFACE, phi="c2^4")
     assert_matches_joint_route(out, spec, severi_bundle(), SURFACE, "c2^4")
     assert all(prob.prefactor == 1 for _, prob in out)
+    # e.g. {1,3}{2,4} relabels {1,2}{3,4}: one two-point block holds the
+    # double point, the other two simple points, in either order
+    assert assert_relabelled_residues_are_direct(out) == 4
 
 
 def test_every_assembly_and_elimination_product_is_budgeted(monkeypatch):

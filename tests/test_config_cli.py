@@ -346,6 +346,18 @@ def test_cli_ghilb_six_points_is_pinned(capsys, phi):
     assert hashlib.sha256(out.encode()).hexdigest() == SIX_POINT_DIGESTS[phi]
 
 
+def test_cli_ghilb_seven_points_is_pinned(capsys):
+    # digest of the full stdout, recorded while every order of a block
+    # multiset was still multiplied out and eliminated on its own; the
+    # 64 bodies include orders that repeat a block size, as (2,2,1,1,1)
+    assert cli.main(["ghilb", "--k", "7", "--phi", "2*c2-c1^2", "--evaluate"]) == 0
+    out = capsys.readouterr().out
+    assert sum(line.startswith("term ") for line in out.splitlines()) == 877
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c2ff5e487e10480387936f754ea58ec81d40e55a938cffad7c3939a07998c52d"
+    )
+
+
 def test_cli_ghilb_block_polynomials_are_pinned(capsys):
     # digest of the full stdout, recorded while relabel and the text
     # renderer still decoded every field of every packed key

@@ -49,7 +49,7 @@ def test_a_traced_cli_call_records_its_layers(capsys):
     capsys.readouterr()
     metrics = tracer.layer_metrics(t.spans)
     assert metrics["assemble.calls"] == 1
-    assert metrics["residue.calls"] == 4  # one per distinct problem of the 5 terms
+    assert metrics["residue.calls"] == 3  # one per block multiset of the 5 terms
     assert metrics["poly.format_bytes"] > 0
     # the patches are undone
     assert cli.format_poly is format_poly
