@@ -20,7 +20,7 @@ specializations of it:
     Q_m enters as the block epd, and the prefactor carries the sign.
 
 A partition's problem depends only on the data of its blocks in order:
-sum algebra, weights and collision dual.  Block names, geometry
+epd, weights and collision dual.  Block names, geometry
 suffixes and dim_cap follow from block position and count.  Both
 builders therefore return the same ResidueProblem object for every
 partition with equal ordered block data, built once; for k points
@@ -33,11 +33,12 @@ its relabel_of, so that its residue can be relabelled too.
 A support with more set partitions than DEFAULT_TERM_BUDGET is refused
 before any is enumerated.
 
-assemble_severi builds the nodal-curve counting problems by one rule for
-every r: box x^a*y^b weighs 3a + 5b, the contour follows the weights and
-the denominators are the same pair-sum forms a geometric subset gets.
-r = 1, 2 carry prefactors fixed by the classical a_1 and a_2; r >= 3
-emits the general template with a warning.
+assemble_severi builds the r-nodal problem as the punctual problem of
+the Severi algebra (box x^a*y^b weighs 3a + 5b), whose one block goes
+through the same block builder; the sign between its contour-order
+difference product and the published refined-order one is folded into
+the block epd, which multiplies the numerator after phi.  r = 1, 2 carry
+prefactors fixed by the classical a_1 and a_2; r >= 3 warns.
 
 Difference-factor convention: the numerator takes one factor (z_i - z_j)
 for every ordered pair i != j with w(i) <= w(j).  Equal weights thus
@@ -61,7 +62,6 @@ from .chern import (
     SurfaceModel,
     TopDegreeSelection,
     chern_classes,
-    elementary_symmetric,
     generic_surface,
     segre_factor,
     select_top_degree,
@@ -77,7 +77,7 @@ from .diagrams import (
     weight_map,
 )
 from .multidegree import balanced_dual_text, nakajima_dual
-from .poly import LinearForm, MPoly, TermBudgetExceeded, VariableContext, parse_poly
+from .poly import LinearForm, MPoly, TermBudgetExceeded, VariableContext, format_poly, parse_poly
 from .record import Record, replace
 from .residue import ResidueProblem, iterated_residue
 
@@ -200,9 +200,9 @@ def _whitney(total: list, block: list, d: int) -> list:
 # -- shared factor builders ----------------------------------------------
 
 
-def _difference_factors(num: MPoly, names, weights) -> MPoly:
-    """num times (z_i - z_j) over ordered pairs i != j with w(i) <= w(j)."""
-    ctx = num.ctx
+def _difference_product(ctx: VariableContext, names, weights) -> MPoly:
+    """The product of (z_i - z_j) over ordered pairs i != j with w(i) <= w(j)."""
+    num = MPoly.const(ctx, 1)
     for i, j in itertools.permutations(range(len(names)), 2):
         if weights[i] <= weights[j]:
             num = num.mul(MPoly.var(ctx, names[i]) - MPoly.var(ctx, names[j]))
@@ -232,15 +232,10 @@ def _pair_sum_forms(ctx: VariableContext, slots, triples) -> list:
     return forms
 
 
-def _monomial_inverse(ctx: VariableContext, names, power: int) -> MPoly:
-    key = [0] * ctx.nvars
-    for n in names:
-        key[ctx.index(n)] -= power
-    return MPoly(ctx, {tuple(key): Fraction(1)})
-
-
 def _check_epd(p: MPoly, what: str) -> MPoly:
-    """A dual is a homogeneous polynomial: no negative exponents, one degree."""
+    """A dual is a nonzero homogeneous polynomial: no negative exponents, one degree."""
+    if p.is_zero():
+        raise ValueError("%s is the zero polynomial; a nonempty locus has a nonzero dual" % what)
     if any(e < 0 for key in p.terms for e in key):
         raise ValueError("%s has a negative exponent" % what)
     degs = {sum(key) for key in p.terms}
@@ -289,17 +284,12 @@ class GeometricSubsetSpec(Record):
         )
 
 
-def _block_names(t: int, block_index: int, m: int):
-    if t == 1:
-        return tuple("z%d" % i for i in range(1, m + 1))
-    return tuple("b%dz%d" % (block_index + 1, i) for i in range(1, m + 1))
-
-
 def _sum_block(spec: GeometricSubsetSpec, block, power: int):
-    """Sum algebra, filtration weights and Laurent monomial of one block.
+    """(names, weights, epd_text, (laurent_exps, coef)) of one block.
 
-    The Laurent monomial (z_1...z_m)^(-power) * dual^(-1) comes as its
-    exponents over z1..zm and its coefficient.
+    names are z1..zm and weights their filtration weights; epd_text is the
+    sum algebra's epd (None means 1), text so that the tuple hashes; the
+    Laurent monomial (z_1...z_m)^(-power) * dual^(-1) comes as exponents.
     """
     algs = [spec.algebras[x - 1] for x in block]
     if len(algs) == 1:
@@ -310,22 +300,24 @@ def _sum_block(spec: GeometricSubsetSpec, block, power: int):
             raise ValueError("algebras in block %r need diagrams to be summed" % (block,))
         block_alg = AlgebraSpec.from_diagram(curvilinear_sum(digs), epd=spec.block_epd(block))
     m = block_alg.k - 1
+    names = tuple("z%d" % i for i in range(1, m + 1))
     wmap = weight_map(block_alg.filtration)
     weights = tuple(wmap[i] for i in range(1, m + 1))
     dual_text = spec.block_dual(block)
-    dual = parse_poly(VariableContext(residue_vars=_block_names(1, 0, m)), dual_text)
+    dual = parse_poly(VariableContext(residue_vars=names), dual_text)
     if len(dual) != 1:
         raise ValueError("non-monomial dual %r unsupported" % dual_text)
     (key, coef), = dual.terms.items()
-    return block_alg, weights, (tuple(-power - e for e in key), 1 / coef)
+    return names, weights, block_alg.epd, (tuple(-power - e for e in key), 1 / coef)
 
 
 class _BlockPieces(Record):
     """One block's share of every problem it occurs in, in its own context.
 
-    ctx: residue variables z1..zm and one unsuffixed copy of the bundle
-        and surface symbols.
-    numerator: the difference-factor product times the block epd.
+    ctx: the block's residue variables and one unsuffixed copy of the
+        bundle and surface symbols.
+    numerator: the difference-factor product.
+    epd: the block epd, or None for 1; it joins the numerator after phi.
     pair_sums: index triples of the pair-sum denominators.
     laurents: the Laurent monomial, when not 1, then one Segre factor
         per variable.
@@ -335,6 +327,7 @@ class _BlockPieces(Record):
 
     ctx: VariableContext
     numerator: MPoly
+    epd: MPoly | None
     pair_sums: tuple
     laurents: tuple
     chern: list
@@ -349,21 +342,20 @@ def _block_pieces(block_data, bundle, surface, d: int, whole: bool) -> _BlockPie
     other block occurs only beside others, so its context has no cap and
     MPoly.relabel cuts its pieces to the joint one.
     """
-    block_alg, weights, (exps, coef) = block_data
-    names = _block_names(1, 0, len(weights))
+    names, weights, epd_text, (exps, coef) = block_data
     geometry = tuple((r, 1) for r in bundle.roots) + tuple(surface.chern_symbols)
     ctx = VariableContext(names, geometry, surface.dim if whole else None)
-    num = _difference_factors(MPoly.const(ctx, 1), names, weights)
-    if block_alg.epd is not None:
-        epd = parse_poly(ctx, block_alg.epd)
-        num = num.mul(_check_epd(epd, "epd %r" % block_alg.epd))
+    num = _difference_product(ctx, names, weights)
+    epd = None
+    if epd_text is not None:
+        epd = _check_epd(parse_poly(ctx, epd_text), "epd %r" % epd_text)
     laurents = []
     if names or coef != 1:
         laurents.append(MPoly(ctx, {exps + (0,) * len(geometry): coef}))
     laurents.extend(segre_factor(ctx, n, surface) for n in names)
     roots = twisted_roots(ctx, bundle, [MPoly.var(ctx, n) for n in names])
     chern = chern_classes(ctx, roots, min(d, len(roots)))
-    return _BlockPieces(ctx, num, _pair_sums(weights), tuple(laurents), chern)
+    return _BlockPieces(ctx, num, epd, _pair_sums(weights), tuple(laurents), chern)
 
 
 def _check_partition_count(s: int) -> None:
@@ -406,7 +398,7 @@ def assemble_geometric(
     Each distinct block is built once, in a block-local context (see
     _block_pieces), and a partition's problem is assembled from its
     blocks' pieces.  A partition's problem depends only on its blocks'
-    data in order: sum algebra, weights and collision dual.  Partitions
+    data in order: epd, weights and collision dual.  Partitions
     with equal ordered block data get the same problem object, built
     once, so consumers may memoize by object identity.  Two orders of one
     multiset of blocks give the same problem up to renaming: the first
@@ -479,11 +471,12 @@ def _partition_problem(pieces, key, phi_terms, d: int, dim: int, source=None) ->
     """The problem of one partition, its blocks' pieces being pieces[i] for i in key.
 
     A one-block partition's context is its block's own, so the pieces
-    enter as built.  Otherwise block l gets the residue names b<l>z1..
-    and the geometry copy suffixed _<l>, laid out by _joint_slots; the
-    joint dim_cap is dim times the block count, and MPoly.relabel places
-    each piece by that slot map.  The bundle's Chern classes are the
-    Whitney sum over the blocks.
+    enter as built.  Otherwise block l gets its block-local residue names
+    prefixed b<l> (b2z1, ...) and the geometry copy suffixed _<l>, laid
+    out by _joint_slots; the joint dim_cap is dim times the block count,
+    and MPoly.relabel places each piece by that slot map.  The numerator
+    is the blocks' difference products, times phi at the Whitney sum of
+    the blocks' Chern classes, times the blocks' epds.
 
     source, when given, is (key, problem) of an earlier order of the same
     blocks.  Forms and Laurent factors are still placed from the pieces,
@@ -503,7 +496,7 @@ def _partition_problem(pieces, key, phi_terms, d: int, dim: int, source=None) ->
         ctx = blocks[0].ctx
         slot_maps = [range(ctx.nvars)]
     else:
-        names = [_block_names(t, l, p.ctx.k) for l, p in enumerate(blocks)]
+        names = [tuple("b%d" % (l + 1) + n for n in p.ctx.residue_vars) for l, p in enumerate(blocks)]
         copies = [
             tuple((n + "_%d" % (l + 1), deg) for n, deg in p.ctx.geometry)
             for l, p in enumerate(blocks)
@@ -525,6 +518,9 @@ def _partition_problem(pieces, key, phi_terms, d: int, dim: int, source=None) ->
             [[place(c, slots) for c in p.chern] for p, slots in placed],
         )
         num = num.mul(_apply_phi(ctx, phi_terms, chern))
+        for p, slots in placed:
+            if p.epd is not None:
+                num = num.mul(place(p.epd, slots))
     else:
         source_key, source_problem = source
         source_maps = _joint_slots([pieces[i] for i in source_key])
@@ -628,56 +624,43 @@ def severi_bundle() -> BundleModel:
 def assemble_severi(r: int, epd: str | None = None, prefactor=None) -> ResidueProblem:
     """Nodal-degree residue problem on the generic surface; evaluate() on it yields a_r.
 
-    One rule builds every r.  Box x^a*y^b weighs 3a + 5b; the contour is
-    the box variables sorted by weight, and the denominators are the
-    pair-sum forms z_i + z_j - z_m with w(i) + w(j) <= w(m), as for a
-    geometric subset.  Any y-weight strictly between 1.5 and 2 times the
-    x-weight gives the same forms.  r = 1 and r = 2 carry the prefactors
-    of SEVERI_PREFACTOR.  For r >= 3 the template is emitted with a
-    warning, since no published value pins its epd and prefactor.  A
+    The punctual problem of the Severi algebra, boxes 1, x..x^(2r-1), y,
+    xy..x^(r-1)*y, whose one block _block_pieces builds with phi = c_{2r}.
+    Box x^a*y^b weighs 3a + 5b and the contour sorts the boxes by weight;
+    any y-weight strictly between 1.5 and 2 times the x-weight gives the
+    same pair-sum forms.  The small boxes x..x^(r-1) carry the collision
+    dual in the Laurent monomial.  The published numerator takes the
+    difference product in the refined order (x^a, then x^b*y), so the sign
+    of the reordering is folded into the epd, which joins after phi.
+    r = 1 and r = 2 carry the prefactors of SEVERI_PREFACTOR; r >= 3
+    warns, since no published value pins its epd and prefactor.  A
     product that outgrows the term budget raises TermBudgetExceeded with
     this layer named.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    surface = generic_surface()
-    bundle = severi_bundle()
     if r <= 2 and (epd is not None or prefactor is not None):
         raise ValueError("r <= 2 problems are built in; epd/prefactor are fixed")
-
-    # boxes (a, b) of x^a*y^b in the refined order: x^a, then x^b*y
+    surface = generic_surface()
     boxes = [(a, 0) for a in range(1, 2 * r)] + [(b, 1) for b in range(r)]
-    refined_order = ["z%d%d" % box for box in boxes]
-    weight = {n: 3 * a + 5 * b for n, (a, b) in zip(refined_order, boxes)}
-    contour = sorted(refined_order, key=weight.__getitem__)
-    geometry = (("L", 1),) + tuple(surface.chern_symbols)
-    ctx = VariableContext(
-        residue_vars=tuple(contour),
-        geometry=geometry,
-        dim_cap=surface.dim,
-    )
-
-    # the epd is checked before the numerator it joins is built
-    dual = _check_epd(parse_poly(ctx, epd), "epd") if epd is not None else None
-    # the contour is the context's residue order
-    forms = _pair_sum_forms(ctx, range(ctx.k), _pair_sums([weight[n] for n in contour]))
-    laurents = []
-    small = [n for n, (a, b) in zip(refined_order, boxes) if b == 0 and a <= r - 1]
-    if small:
-        laurents.append(_monomial_inverse(ctx, small, 1))
-    laurents.append(_monomial_inverse(ctx, refined_order, 2))
+    boxes.sort(key=lambda box: 3 * box[0] + 5 * box[1])
+    names = tuple("z%d%d" % box for box in boxes)
+    if r == 1:
+        # a single difference is antisymmetric and integrates to 0; the
+        # one-node integrand carries it squared
+        epd_text = "z10 - z01"
+    else:
+        # the contour moves x^a past x^b*y wherever 3a > 3b + 5
+        swaps = sum(3 * a > 3 * b + 5 for a in range(1, 2 * r) for b in range(r))
+        ctx = VariableContext(names, (("L", 1),) + tuple(surface.chern_symbols), surface.dim)
+        dual = MPoly.const(ctx, 1) if epd is None else _check_epd(parse_poly(ctx, epd), "epd")
+        epd_text = format_poly(dual.scale((-1) ** swaps))
+    weights = tuple(3 * a + 5 * b for a, b in boxes)
+    laurent = tuple(-3 if b == 0 and a < r else -2 for a, b in boxes)
+    data = (names, weights, epd_text, (laurent, Fraction(1)))
     try:
-        # strictly increasing weights: one factor z_i - z_j per pair i < j
-        num = _difference_factors(MPoly.const(ctx, 1), refined_order, range(len(refined_order)))
-        if r == 1:
-            # a single difference is antisymmetric and integrates to 0; the
-            # one-node integrand carries it squared
-            num = num.mul(MPoly.var(ctx, "z10") - MPoly.var(ctx, "z01"))
-        roots = twisted_roots(ctx, bundle, [MPoly.var(ctx, n) for n in refined_order])
-        num = num.mul(elementary_symmetric(2 * r, roots))
-        if dual is not None:
-            num = num.mul(dual)
-        laurents.extend(segre_factor(ctx, n, surface) for n in refined_order)
+        pieces = _block_pieces(data, severi_bundle(), surface, 2 * r, whole=True)
+        problem = _partition_problem([pieces], (0,), normalize_phi(2 * r), 2 * r, surface.dim)
     except TermBudgetExceeded as exc:
         raise TermBudgetExceeded("%s while assembling the problem" % exc) from None
 
@@ -690,14 +673,7 @@ def assemble_severi(r: int, epd: str | None = None, prefactor=None) -> ResiduePr
             stacklevel=2,
         )
         pref = Fraction(prefactor) if prefactor is not None else Fraction(1)
-
-    return ResidueProblem(
-        ctx=ctx,
-        numerator=num,
-        denominator=tuple(forms),
-        laurent_prefactors=tuple(laurents),
-        prefactor=pref,
-    )
+    return replace(problem, prefactor=pref)
 
 
 # -- evaluation ------------------------------------------------------------

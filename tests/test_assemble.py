@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from tautres import assemble
+from tautres import assemble, cli
 from tautres.assemble import (
     AlgebraSpec,
     GeometricSubsetSpec,
@@ -412,7 +412,7 @@ def joint_problem(spec, alpha, bundle, surface, phi):
     t = len(alpha)
     blocks = [_sum_block(spec, block, surface.dim) for block in alpha]
     names, geometry, copies = [], [], []
-    for l, (_, weights, _) in enumerate(blocks):
+    for l, (_, weights, _, _) in enumerate(blocks):
         sfx = "" if t == 1 else "_%d" % (l + 1)
         zs = ["z%d" % i if t == 1 else "b%dz%d" % (l + 1, i) for i in range(1, len(weights) + 1)]
         symbols = {n: n + sfx for n in bundle.roots + tuple(n for n, _ in surface.chern_symbols)}
@@ -423,13 +423,13 @@ def joint_problem(spec, alpha, bundle, surface, phi):
     ctx = VariableContext(tuple(names), tuple(geometry), surface.dim * t)
     num = MPoly.const(ctx, 1)
     forms, laurents, troots = [], [], []
-    for (alg, weights, (exps, coef)), (zs, symbols) in zip(blocks, copies):
+    for (_, weights, epd, (exps, coef)), (zs, symbols) in zip(blocks, copies):
         z = [MPoly.var(ctx, n) for n in zs]
         for i, j in itertools.permutations(range(len(zs)), 2):
             if weights[i] <= weights[j]:
                 num = num * (z[i] - z[j])
-        if alg.epd is not None:
-            num = num * parse_poly(ctx, _renamed(alg.epd, {"z%d" % (i + 1): n for i, n in enumerate(zs)}))
+        if epd is not None:
+            num = num * parse_poly(ctx, _renamed(epd, {"z%d" % (i + 1): n for i, n in enumerate(zs)}))
         for i, j, m in itertools.product(range(len(zs)), repeat=3):
             if i <= j and weights[i] + weights[j] <= weights[m]:
                 forms.append(linear_form(ctx, z[i] + z[j] - z[m]))
@@ -617,8 +617,11 @@ def test_severi_two_node_structure():
     got = [frozenset(f.as_poly().terms.items()) for f in prob.denominator]
     want = [frozenset(parse_poly(ctx, t).terms.items()) for t in texts]
     assert sorted(got, key=repr) == sorted(want, key=repr)
-    assert len(prob.laurent_prefactors) == 7
-    assert prob.laurent_prefactors[0] == MPoly.var(ctx, "z10", -1)
+    # one Laurent monomial, the collision dual's z10 folded in, then the
+    # Segre factors in contour order
+    assert len(prob.laurent_prefactors) == 6
+    assert format_poly(prob.laurent_prefactors[0]) == "z10^-3*z01^-2*z20^-2*z11^-2*z30^-2"
+    assert list(prob.laurent_prefactors[1:]) == [segre_factor(ctx, n, SURFACE) for n in ctx.residue_vars]
     # independent numerator rebuild in the refined variable order
     refined = ("z10", "z20", "z30", "z01", "z11")
     num = difference_product(ctx, refined)
@@ -649,6 +652,20 @@ def test_severi_template_beyond_two_warns():
     got = {frozenset(f.as_poly().terms.items()) for f in prob.denominator}
     for text in ("2*z10 - z11", "z10 + z01 - z30", "2*z01 - z21"):
         assert frozenset(parse_poly(ctx, text).terms.items()) in got
+    # the problem text as the CLI prints it: all but the laurent lines as
+    # the refined-order builder gave them, the laurent lines one monomial
+    # and then the Segre factors in contour order
+    lines = cli._problem_lines(prob)
+    laurent = [line for line in lines if line.startswith("laurent ")]
+    rest = "\n".join(line for line in lines if not line.startswith("laurent "))
+    assert hashlib.sha256(rest.encode()).hexdigest() == (
+        "b4282220070ac4d7de92b231e9e8ed9544c866df354abf1a3880d31ea0514656"
+    )
+    assert len(laurent) == 9
+    assert laurent[0] == "laurent z10^-3*z01^-2*z20^-3*z11^-2*z30^-2*z21^-2*z40^-2*z50^-2"
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "fb60c419e05c152563fb224364a0d99ff64c593efd1049e5faf585d2a8200bb2"
+    )
 
 
 # -- published coefficient maps ----------------------------------------------------

@@ -389,7 +389,7 @@ def test_cli_verify(capsys):
     assert len([l for l in out if l.startswith("PASS")]) == 10
 
 
-def test_cli_error_exits(tmp_path, capsys):
+def test_cli_error_exits(tmp_path, capsys, monkeypatch):
     empty = tmp_path / "empty.cfg"
     empty.write_text("")
     with pytest.raises(SystemExit) as exc:
@@ -442,6 +442,22 @@ def test_cli_error_exits(tmp_path, capsys):
         cli.main(["ghilb", "--k", "3", "--q", "1:z1 + 1"])
     assert exc.value.code == 2
     assert "not homogeneous" in capsys.readouterr().err
+
+    # the dual of a nonempty locus is never 0; the severi epd is refused
+    # before its block is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("block built")
+
+    for argv in (
+        ["ghilb", "--k", "2", "--q", "1:0", "--evaluate"],
+        ["severi", "--r", "3", "--epd", "0"],
+    ):
+        with monkeypatch.context() as patch, pytest.raises(SystemExit) as exc:
+            if argv[0] == "severi":
+                patch.setattr(assemble, "_block_pieces", refuse)
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "is the zero polynomial; a nonempty locus has a nonzero dual" in capsys.readouterr().err
 
     # a dual is a polynomial, and the severi epd is refused before the build
     with pytest.raises(SystemExit) as exc:
