@@ -26,19 +26,26 @@ builders therefore return the same ResidueProblem object for every
 partition with equal ordered block data, built once; for k points
 assemble_ghilb returns Bell(k) terms over 2^(k-1) problems, one per
 ordered block-size sequence.  Consumers may memoize by object identity.
+A problem's numerator is the product of its blocks' difference
+products.  phi at the Whitney classes and the block epds go first in its
+factors, then the Laurent factors; iterated_residue multiplies each in
+at the elimination step of its outermost variable, under that step's
+window, and fold_factors multiplies the polynomial ones out for a
+caller that wants the whole product.
 Orders of one multiset of blocks differ only by renaming, so only the
-first order seen is multiplied out (p(k) of the 2^(k-1) for
-assemble_ghilb); each other order relabels its numerator and says so in
-its relabel_of, so that its residue can be relabelled too.
+first order seen is built (p(k) of the 2^(k-1) for assemble_ghilb); each
+other order relabels its numerator and phi and says so in its
+relabel_of, so that its residue can be relabelled too.
 A support with more set partitions than DEFAULT_TERM_BUDGET is refused
 before any is enumerated.
 
 assemble_severi builds the r-nodal problem as the punctual problem of
 the Severi algebra (box x^a*y^b weighs 3a + 5b), whose one block goes
-through the same block builder; the sign between its contour-order
-difference product and the published refined-order one is folded into
-the block epd, which multiplies the numerator after phi.  r = 1, 2 carry
-prefactors fixed by the classical a_1 and a_2; r >= 3 warns.
+through the same block builder and is then folded: its numerator is the
+whole template.  The sign between its contour-order difference product
+and the published refined-order one is folded into the block epd, which
+multiplies the numerator after phi.  r = 1, 2 carry prefactors fixed by
+the classical a_1 and a_2; r >= 3 warns.
 
 Difference-factor convention: the numerator takes one factor (z_i - z_j)
 for every ordered pair i != j with w(i) <= w(j).  Equal weights thus
@@ -79,7 +86,7 @@ from .diagrams import (
 from .multidegree import balanced_dual_text, nakajima_dual
 from .poly import LinearForm, MPoly, TermBudgetExceeded, VariableContext, format_poly, parse_poly
 from .record import Record, replace
-from .residue import ResidueProblem, iterated_residue
+from .residue import ResidueProblem, fold_factors, iterated_residue
 
 
 class AlgebraSpec(Record):
@@ -317,7 +324,7 @@ class _BlockPieces(Record):
     ctx: the block's residue variables and one unsuffixed copy of the
         bundle and surface symbols.
     numerator: the difference-factor product.
-    epd: the block epd, or None for 1; it joins the numerator after phi.
+    epd: the block epd, or None for 1; it follows phi among the factors.
     pair_sums: index triples of the pair-sum denominators.
     laurents: the Laurent monomial, when not 1, then one Segre factor
         per variable.
@@ -390,8 +397,8 @@ def assemble_geometric(
     Each block of a partition stands for the sum algebra of its support
     algebras, with m variables (its length minus one) and its own copy of
     the geometry symbols.  It contributes the difference factors and
-    pair-sum denominators of its filtration weights, its epd to the
-    numerator, the Laurent monomial (z_1...z_m)^(-n) / dual (n the
+    pair-sum denominators of its filtration weights, its epd as a
+    factor, the Laurent monomial (z_1...z_m)^(-n) / dual (n the
     surface dimension, dual the collision dual) and a Segre factor per
     variable.  Unknown collision duals raise; they are never invented.
 
@@ -402,8 +409,8 @@ def assemble_geometric(
     with equal ordered block data get the same problem object, built
     once, so consumers may memoize by object identity.  Two orders of one
     multiset of blocks give the same problem up to renaming: the first
-    order seen is multiplied out, and each later order relabels that
-    problem's numerator and records the source and slot map as its
+    order seen is built, and each later order relabels that problem's
+    numerator and phi and records the source and slot map as its
     relabel_of, so that its residue is a relabel as well.
 
     A support with more set partitions than DEFAULT_TERM_BUDGET raises
@@ -475,20 +482,22 @@ def _partition_problem(pieces, key, phi_terms, d: int, dim: int, source=None) ->
     prefixed b<l> (b2z1, ...) and the geometry copy suffixed _<l>, laid
     out by _joint_slots; the joint dim_cap is dim times the block count,
     and MPoly.relabel places each piece by that slot map.  The numerator
-    is the blocks' difference products, times phi at the Whitney sum of
-    the blocks' Chern classes, times the blocks' epds.
+    is the product of the blocks' difference products; the factors are
+    phi at the Whitney sum of the blocks' Chern classes, then the blocks'
+    epds, then their Laurent factors.
 
     source, when given, is (key, problem) of an earlier order of the same
-    blocks.  Forms and Laurent factors are still placed from the pieces,
-    but the numerator is the source's relabelled, and the problem keeps
-    that slot map as relabel_of.  This is exact.  Blocks share no residue
-    variable, form or geometry copy; a reordering keeps the variable
-    order inside each block and the joint cap dim * t.  So the two
-    problems are one rational function up to renaming.  Elimination
-    expands each form in its own block's variables only, so it commutes
-    with the renaming, and the dim_cap cut is a quotient by an ideal,
-    whatever the order of the products.  Equal pieces are matched in
-    order: the integrand is symmetric under swapping two equal blocks.
+    blocks.  Forms, epds and Laurent factors are still placed from the
+    pieces, but the numerator and phi are the source's relabelled, and
+    the problem keeps that slot map as relabel_of.  This is exact.
+    Blocks share no residue variable, form or geometry copy; a
+    reordering keeps the variable order inside each block and the joint
+    cap dim * t.  So the two problems are one rational function up to
+    renaming.  Elimination expands each form in its own block's
+    variables only, so it commutes with the renaming, and the dim_cap
+    cut is a quotient by an ideal, whatever the order of the products.
+    Equal pieces are matched in order: the integrand is symmetric under
+    swapping two equal blocks.
     """
     blocks = [pieces[i] for i in key]
     t = len(blocks)
@@ -509,6 +518,7 @@ def _partition_problem(pieces, key, phi_terms, d: int, dim: int, source=None) ->
 
     placed = list(zip(blocks, slot_maps))
     forms = [f for p, slots in placed for f in _pair_sum_forms(ctx, slots, p.pair_sums)]
+    epds = [place(p.epd, slots) for p, slots in placed if p.epd is not None]
     laurents = [place(f, slots) for p, slots in placed for f in p.laurents]
     relabel_of = None
     if source is None:
@@ -517,10 +527,7 @@ def _partition_problem(pieces, key, phi_terms, d: int, dim: int, source=None) ->
             lambda total, block: _whitney(total, block, d),
             [[place(c, slots) for c in p.chern] for p, slots in placed],
         )
-        num = num.mul(_apply_phi(ctx, phi_terms, chern))
-        for p, slots in placed:
-            if p.epd is not None:
-                num = num.mul(place(p.epd, slots))
+        phi = _apply_phi(ctx, phi_terms, chern)
     else:
         source_key, source_problem = source
         source_maps = _joint_slots([pieces[i] for i in source_key])
@@ -530,12 +537,13 @@ def _partition_problem(pieces, key, phi_terms, d: int, dim: int, source=None) ->
             for x, y in zip(source_maps[a], slot_maps[b]):
                 slots[x] = y
         num = source_problem.numerator.relabel(ctx, slots)
+        phi = source_problem.factors[0].relabel(ctx, slots)
         relabel_of = (source_problem, tuple(slots))
     return ResidueProblem(
         ctx=ctx,
         numerator=num,
         denominator=tuple(forms),
-        laurent_prefactors=tuple(laurents),
+        factors=(phi, *epds, *laurents),
         relabel_of=relabel_of,
     )
 
@@ -572,7 +580,9 @@ def assemble_ghilb(
     z_1...z_m: numerator (-1)^m * prod_{i<j}(z_i - z_j) * Q_m,
     denominator prod_{i+j<=l<=m}(z_i + z_j - z_l) * (z_1...z_m)^(n+1).
     The Q_m (m >= 1) are external inputs, homogeneous canonical text in
-    z1..zm, default 1; each is the block epd of every block of size m+1.
+    z1..zm, default 1; each is the block epd of every block of size m+1,
+    a factor beside phi, which the numerator holds multiplied out only
+    after fold_factors.
 
     One (partition, problem) per set partition, as assemble_geometric
     gives them: partitions with equal ordered block sizes share one
@@ -631,7 +641,9 @@ def assemble_severi(r: int, epd: str | None = None, prefactor=None) -> ResiduePr
     same pair-sum forms.  The small boxes x..x^(r-1) carry the collision
     dual in the Laurent monomial.  The published numerator takes the
     difference product in the refined order (x^a, then x^b*y), so the sign
-    of the reordering is folded into the epd, which joins after phi.
+    of the reordering is folded into the epd, which joins after phi.  The
+    problem comes folded (fold_factors): its numerator is the whole
+    template, its factors the Laurent ones.
     r = 1 and r = 2 carry the prefactors of SEVERI_PREFACTOR; r >= 3
     warns, since no published value pins its epd and prefactor.  A
     product that outgrows the term budget raises TermBudgetExceeded with
@@ -660,7 +672,9 @@ def assemble_severi(r: int, epd: str | None = None, prefactor=None) -> ResiduePr
     data = (names, weights, epd_text, (laurent, Fraction(1)))
     try:
         pieces = _block_pieces(data, severi_bundle(), surface, 2 * r, whole=True)
-        problem = _partition_problem([pieces], (0,), normalize_phi(2 * r), 2 * r, surface.dim)
+        problem = fold_factors(
+            _partition_problem([pieces], (0,), normalize_phi(2 * r), 2 * r, surface.dim)
+        )
     except TermBudgetExceeded as exc:
         raise TermBudgetExceeded("%s while assembling the problem" % exc) from None
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 from .assemble import (
     assemble_ghilb,
@@ -53,6 +54,7 @@ def _emit_selection(sel: TopDegreeSelection) -> None:
 
 
 def _problem_lines(problem) -> list:
+    """The text of a folded problem: its factors are all Laurent ones."""
     ctx = problem.ctx
     lines = [" ".join(("vars",) + ctx.names[: ctx.k]), "prefactor %s" % problem.prefactor]
     if len(problem.numerator) > 1000:
@@ -61,7 +63,7 @@ def _problem_lines(problem) -> list:
     else:
         lines.append("numerator %s" % format_poly(problem.numerator))
     lines.extend("denominator %r" % (f,) for f in problem.denominator)
-    lines.extend("laurent %s" % format_poly(p) for p in problem.laurent_prefactors)
+    lines.extend("laurent %s" % format_poly(p) for p in problem.factors)
     return lines
 
 
@@ -83,7 +85,12 @@ def _cmd_severi(args) -> int:
     if args.d is not None and args.d < 1:
         raise ConfigError("--d wants a plane curve degree >= 1, got %d" % args.d)
     prefactor = parse_prefactor(args.prefactor) if args.prefactor else None
-    problem = assemble_severi(r, epd=args.epd, prefactor=prefactor)
+    # the library's warnings (r >= 3 is uncalibrated) as plain stderr lines
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        problem = assemble_severi(r, epd=args.epd, prefactor=prefactor)
+    for w in caught:
+        print("warning: %s" % w.message, file=sys.stderr)
     if r > 2:
         print("\n".join(_problem_lines(problem)))
         if not args.evaluate:
@@ -113,8 +120,12 @@ def _cmd_ghilb(args) -> int:
     terms = assemble_ghilb(
         args.k, severi_bundle(), generic_surface(), args.phi, q_polys
     )
-    from .residue import iterated_residue
+    from .residue import fold_factors, iterated_residue
 
+    # the numerator line prints the whole product, so each source problem
+    # is folded and eliminated from that product; a relabel folds to the
+    # relabel of its source's folded problem, listed before it
+    folded = {}  # id of an assembled problem -> it folded
     residues = {}  # id of an eliminated problem -> its residue
 
     def residue(problem):
@@ -129,9 +140,12 @@ def _cmd_ghilb(args) -> int:
     bodies = {}  # terms sharing a problem object share its text and residue
     for alpha, problem in terms:
         if id(problem) not in bodies:
-            lines = _problem_lines(problem)
+            relabel_of = problem.relabel_of
+            source = None if relabel_of is None else folded[id(relabel_of[0])]
+            folded[id(problem)] = fold_factors(problem, source)
+            lines = _problem_lines(folded[id(problem)])
             if args.evaluate:
-                lines.append("residue %s" % format_poly(residue(problem)))
+                lines.append("residue %s" % format_poly(residue(folded[id(problem)])))
             bodies[id(problem)] = "\n".join(lines)
         label = "".join("{%s}" % ",".join(str(x) for x in blk) for blk in alpha)
         print("term %s" % label)

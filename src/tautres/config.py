@@ -302,7 +302,7 @@ def build_problem(cfg: ProblemConfig):
             ctx=ctx,
             numerator=num,
             denominator=tuple(forms),
-            laurent_prefactors=tuple(laurents),
+            factors=tuple(laurents),
             prefactor=cfg.prefactor,
         )
     except ValueError as exc:

@@ -225,6 +225,16 @@ class MPoly:
     def is_constant(self) -> bool:
         return not self._t or (len(self._t) == 1 and self.ctx._zero in self._t)
 
+    def is_polynomial(self) -> bool:
+        """No residue variable has a negative exponent.
+
+        A field holds its exponent plus the bias, so an exponent is
+        nonnegative exactly when the field's bias bit is set.
+        """
+        ctx = self.ctx
+        bias_bits = ctx._zero & ((1 << FIELD_BITS * ctx.k) - 1)
+        return all(key & bias_bits == bias_bits for key in self._t)
+
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("not a constant: %s" % self)

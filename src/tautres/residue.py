@@ -17,16 +17,20 @@ expanded now, truncated to the exponents that can still reach t^{-1})
 or does not contain t at all.  Truncation is exact: dropped tails can
 only produce total t-exponents below -1.
 
-Each Laurent prefactor joins the step of its outermost variable, the
-largest contour index with a nonzero exponent in it; one in geometry
-symbols only is multiplied in once, before the first step.  At the step
-for t the prefactors, then the expansions, are multiplied into the
-numerator one at a time, each product cut to the t-exponents from which
-the factors still to come can reach t^{-1}.  Deferring a prefactor is
+A problem's integrand is its numerator times its factors, polynomial
+or Laurent (phi, epds, Segre series, inverse monomials).  Each factor
+joins the step of its outermost variable, the largest contour index
+with a nonzero exponent in it; one in geometry symbols only is
+multiplied in once, before the first step, and a constant one scales.
+At the step for t the factors, then the expansions, are multiplied into
+the numerator one at a time, each product cut to the t-exponents from
+which the factors still to come can reach t^{-1}.  Deferring a factor is
 exact: it does not contain the variables eliminated before its step, so
 it commutes with taking their coefficients, and the ``dim_cap``
 truncation of products is a quotient by an ideal, so the order of the
-products does not change the result.
+products does not change the result.  For the same reason fold_factors,
+which multiplies the polynomial factors into the numerator up front,
+leaves the residue unchanged.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from math import comb
 
 # DEFAULT_TERM_BUDGET is re-exported; MPoly.mul reads it from poly
 from .poly import DEFAULT_TERM_BUDGET, LinearForm, MPoly, TermBudgetExceeded, VariableContext
-from .record import Record
+from .record import Record, replace
 
 
 class Expansion(Record):
@@ -93,25 +97,26 @@ def expand_inverse_at_infinity(
 class ResidueProblem(Record):
     """A fully assembled iterated-residue integrand.
 
-    numerator: polynomial part (may involve geometry symbols).
+    numerator: polynomial part (may involve geometry symbols); what the
+        builder multiplied out.
     denominator: linear-form factors with multiplicities.
-    laurent_prefactors: exact Laurent factors such as truncated Segre
-        series and inverse monomials; nonpositive residue exponents.
-        Each joins the elimination step of its outermost residue
-        variable; one without residue variables is multiplied in before
-        the first step.
+    factors: exact factors the numerator is still to be multiplied by,
+        polynomial (phi, an epd) or Laurent (truncated Segre series,
+        inverse monomials; nonpositive residue exponents).  Each joins
+        the elimination step of its outermost residue variable; one
+        without residue variables is multiplied in before the first step.
     prefactor: global rational constant, applied at the very end.
     relabel_of: (source, slots) when this problem is the problem source
         with its slot i renamed to slots[i] (MPoly.relabel), so that its
         residue is source's residue relabelled the same way.  The source
         has the same prefactor (checked); a copy that changes the
-        numerator, denominator or Laurent factors must drop it.
+        integrand must drop it.
     """
 
     ctx: VariableContext
     numerator: MPoly
     denominator: tuple = ()
-    laurent_prefactors: tuple = ()
+    factors: tuple = ()
     prefactor: Fraction = Fraction(1)
     relabel_of: tuple | None = None
 
@@ -125,9 +130,9 @@ class ResidueProblem(Record):
                 raise ValueError(
                     "constant denominator factor %r; fold it into the prefactor" % f
                 )
-        for p in self.laurent_prefactors:
+        for p in self.factors:
             if p.ctx != self.ctx:
-                raise ValueError("laurent prefactor in foreign context")
+                raise ValueError("factor in foreign context")
 
 
 def _outermost_variable(p: MPoly) -> int | None:
@@ -135,6 +140,40 @@ def _outermost_variable(p: MPoly) -> int | None:
     return max(
         (i for i in range(p.ctx.k) if p.max_exponent(i) or p.min_exponent(i)), default=None
     )
+
+
+def _times(num: MPoly, factor: MPoly, budget: int | None = None) -> MPoly:
+    """num * factor; a constant factor scales num instead of a product pass."""
+    if factor.is_constant():
+        return num.scale(factor.constant_value())
+    return num.mul(factor, budget=budget)
+
+
+def fold_factors(problem: ResidueProblem, source: ResidueProblem | None = None) -> ResidueProblem:
+    """The problem with its polynomial factors multiplied into its numerator.
+
+    The Laurent factors stay, in order; the residue is the problem's.  A
+    constant factor scales.  A product that outgrows the term budget
+    raises TermBudgetExceeded with this layer named.
+
+    source, for a problem with a relabel_of, is that relabel's source
+    already folded: its numerator is relabelled instead of multiplying
+    the factors again, and the result is a relabel of source.
+    """
+    polys, laurents = [], []
+    for p in problem.factors:
+        (polys if p.is_polynomial() else laurents).append(p)
+    if source is not None:
+        slots = problem.relabel_of[1]
+        num = source.numerator.relabel(problem.ctx, slots)
+        return replace(problem, numerator=num, factors=tuple(laurents), relabel_of=(source, slots))
+    num = problem.numerator
+    try:
+        for p in polys:
+            num = _times(num, p)
+    except TermBudgetExceeded as exc:
+        raise TermBudgetExceeded("%s while folding the factors" % exc) from None
+    return replace(problem, numerator=num, factors=tuple(laurents))
 
 
 def iterated_residue(problem: ResidueProblem, term_budget: int | None = None) -> MPoly:
@@ -146,10 +185,10 @@ def iterated_residue(problem: ResidueProblem, term_budget: int | None = None) ->
     ctx = problem.ctx
     num = problem.numerator
     deferred: dict = {}
-    for p in problem.laurent_prefactors:
+    for p in problem.factors:
         i = _outermost_variable(p)
         if i is None:
-            num = num.mul(p, budget=term_budget)
+            num = _times(num, p, term_budget)
         else:
             deferred.setdefault(i, []).append(p)
     remaining = list(problem.denominator)

@@ -271,7 +271,7 @@ def check_residue_orientation() -> CriterionResult:
             ctx=ctx,
             numerator=MPoly.const(ctx, 1),
             denominator=(),
-            laurent_prefactors=(mono,),
+            factors=(mono,),
             prefactor=Fraction(1),
         )
         val = iterated_residue(problem)
@@ -427,16 +427,25 @@ def check_structural_specialization() -> CriterionResult:
                 f.key() for f in ph.denominator
             ):
                 problems.append("%s: denominator multisets differ" % tag)
-            segre_g = sum(not _is_geometry_free(p) for p in pg.laurent_prefactors)
-            segre_h = sum(not _is_geometry_free(p) for p in ph.laurent_prefactors)
+            # the numerators and the polynomial factors (phi, epds) match
+            # one for one; of the Laurent ones, the Segre counts and the
+            # product of the inverse monomials
+            poly_g = [p for p in pg.factors if p.is_polynomial()]
+            poly_h = [p for p in ph.factors if p.is_polynomial()]
+            if pg.numerator != ph.numerator or poly_g != poly_h:
+                problems.append("%s: numerators or polynomial factors differ" % tag)
+            laurent_g = [p for p in pg.factors if not p.is_polynomial()]
+            laurent_h = [p for p in ph.factors if not p.is_polynomial()]
+            segre_g = sum(not _is_geometry_free(p) for p in laurent_g)
+            segre_h = sum(not _is_geometry_free(p) for p in laurent_h)
             if segre_g != segre_h:
                 problems.append("%s: segre counts differ" % tag)
             mono_g = MPoly.const(pg.ctx, 1)
-            for p in pg.laurent_prefactors:
+            for p in laurent_g:
                 if _is_geometry_free(p):
                     mono_g = mono_g * p
             mono_h = MPoly.const(ph.ctx, 1)
-            for p in ph.laurent_prefactors:
+            for p in laurent_h:
                 if _is_geometry_free(p):
                     mono_h = mono_h * p
             if mono_g != mono_h:

@@ -33,7 +33,7 @@ from tautres.chern import (
 from tautres.diagrams import from_partition
 from tautres.poly import MPoly, TermBudgetExceeded, VariableContext, format_poly, linear_form, parse_poly
 from tautres.record import replace
-from tautres.residue import iterated_residue
+from tautres.residue import fold_factors, iterated_residue
 
 
 SURFACE = generic_surface()
@@ -106,12 +106,18 @@ def test_punctual_length_two_structure():
     ctx = prob.ctx
     assert ctx.residue_vars == ("z1",)
     assert prob.denominator == ()
-    # inverse square of the coordinate, then the Segre tail
-    assert len(prob.laurent_prefactors) == 2
-    assert prob.laurent_prefactors[0] == MPoly.var(ctx, "z1", -2)
+    # phi, then the inverse square of the coordinate, then the Segre tail
+    assert len(prob.factors) == 3
+    assert prob.factors[1] == MPoly.var(ctx, "z1", -2)
+    assert prob.factors[2] == segre_factor(ctx, "z1", SURFACE)
     L = MPoly.var(ctx, "L")
     z1 = MPoly.var(ctx, "z1")
-    assert prob.numerator == elementary_symmetric(2, [L, L + z1])
+    # one variable: no difference factor, so the numerator is 1
+    assert prob.numerator == MPoly.const(ctx, 1)
+    assert prob.factors[0] == elementary_symmetric(2, [L, L + z1])
+    folded = fold_factors(prob)
+    assert folded.numerator == elementary_symmetric(2, [L, L + z1])
+    assert folded.factors == prob.factors[1:]
 
 
 def test_punctual_pair_sum_denominators():
@@ -163,9 +169,7 @@ def test_geometric_single_support_matches_punctual():
     assert prob.ctx.dim_cap == direct.ctx.dim_cap
     assert prob.numerator.terms == direct.numerator.terms
     assert prob.denominator == ()
-    assert [p.terms for p in prob.laurent_prefactors] == [
-        p.terms for p in direct.laurent_prefactors
-    ]
+    assert [p.terms for p in prob.factors] == [p.terms for p in direct.factors]
     assert prob.prefactor == direct.prefactor == 1
 
 
@@ -178,7 +182,7 @@ def test_geometric_two_points_collision_block():
     assert merged.ctx.residue_vars == ("z1", "z2", "z3")
     # collision dual for two length-2 axes is z1, entering inverted
     # together with the inverse (z1*z2*z3)^2 in one Laurent factor
-    assert parse_poly(merged.ctx, "z1^-3*z2^-2*z3^-2") in merged.laurent_prefactors
+    assert parse_poly(merged.ctx, "z1^-3*z2^-2*z3^-2") in merged.factors
     split = dict(out)[((1,), (2,))]
     assert split.ctx.residue_vars == ("b1z1", "b2z1")
     names = [n for n, _ in split.ctx.geometry]
@@ -228,7 +232,8 @@ def test_ghilb_single_point():
     assert prob.ctx.residue_vars == ()
     assert prob.prefactor == 1
     # phi = c_2 of a rank-1 bundle with no offsets vanishes
-    assert prob.numerator.is_zero()
+    assert prob.factors[0].is_zero()
+    assert fold_factors(prob).numerator.is_zero()
 
 
 def test_ghilb_two_points():
@@ -236,7 +241,7 @@ def test_ghilb_two_points():
     merged = out[((1, 2),)]
     assert merged.ctx.residue_vars == ("z1",)
     assert merged.prefactor == -1
-    assert MPoly.var(merged.ctx, "z1", -3) in merged.laurent_prefactors
+    assert MPoly.var(merged.ctx, "z1", -3) in merged.factors
     split = out[((1,), (2,))]
     assert split.prefactor == 1
     assert split.ctx.residue_vars == ()
@@ -252,10 +257,12 @@ def test_ghilb_triple_point_block():
     got = {frozenset(f.as_poly().terms.items()) for f in tri.denominator}
     want = {frozenset(parse_poly(tri.ctx, "2*z1 - z2").terms.items())}
     assert got == want
-    # external Q_2 multiplies the numerator
+    # external Q_2 is the factor after phi, and folds into the numerator
     z1z2 = parse_poly(tri.ctx, "z1*z2")
     plain = dict(assemble_ghilb(3, severi_bundle(), SURFACE, phi=None))[((1, 2, 3),)]
-    assert tri.numerator == plain.numerator * z1z2
+    assert tri.numerator == plain.numerator
+    assert tri.factors == (plain.factors[0], z1z2) + plain.factors[1:]
+    assert fold_factors(tri).numerator == fold_factors(plain).numerator * z1z2
 
 
 def test_ghilb_four_points_pinned_terms():
@@ -324,6 +331,7 @@ def test_ghilb_multiplies_out_one_problem_per_block_size_multiset(monkeypatch):
             assert sizes[id(source)] != sizes[id(prob)]
             assert source.prefactor == prob.prefactor
             assert prob.numerator == source.numerator.relabel(prob.ctx, slots)
+            assert prob.factors[0] == source.factors[0].relabel(prob.ctx, slots)
 
 
 def test_a_relabelled_problem_keeps_its_source_prefactor():
@@ -360,9 +368,10 @@ def _digest(*texts):
 
 
 def test_geometric_mixed_spec_pinned_terms():
-    # pins recorded before partitions shared problem objects; phi = c2^4
-    # leaves every residue nonzero.  Texts run to 135k characters, so each
-    # is pinned by a digest: (prefactor, numerator, laurents, residue)
+    # pins recorded before partitions shared problem objects, while phi
+    # was still multiplied into the numerator; phi = c2^4 leaves every
+    # residue nonzero.  Texts run to 135k characters, so each is pinned by
+    # a digest: (prefactor, folded numerator, laurents, residue)
     triv = AlgebraSpec.trivial()
     spec = GeometricSubsetSpec((triv, AlgebraSpec.morin(2), triv, triv))
     out = assemble_geometric(spec, severi_bundle(), SURFACE, phi="c2^4")
@@ -370,8 +379,8 @@ def test_geometric_mixed_spec_pinned_terms():
         (
             alpha,
             prob.prefactor,
-            _digest(format_poly(prob.numerator)),
-            _digest(*map(format_poly, prob.laurent_prefactors)),
+            _digest(format_poly(fold_factors(prob).numerator)),
+            _digest(*map(format_poly, fold_factors(prob).factors)),
             _digest(format_poly(iterated_residue(prob))),
         )
         for alpha, prob in out
@@ -407,7 +416,8 @@ def joint_problem(spec, alpha, bundle, surface, phi):
     The reference for the block-piece route: each block's epd and Segre
     text is renamed into the block's variables and geometry copy, and phi
     is evaluated on the elementary symmetric polynomials of all joint
-    twisted roots.
+    twisted roots.  Returns the context, the difference products times
+    the epds, phi, the forms and the Laurent factors.
     """
     t = len(alpha)
     blocks = [_sum_block(spec, block, surface.dim) for block in alpha]
@@ -450,7 +460,7 @@ def joint_problem(spec, alpha, bundle, surface, phi):
         for m, power in powers.items():
             term = term * elementary_symmetric(m, troots) ** power
         value = value + term
-    return ctx, num * value, forms, laurents
+    return ctx, num, value, forms, laurents
 
 
 def assert_relabelled_residues_are_direct(out):
@@ -468,12 +478,14 @@ def assert_matches_joint_route(out, spec, bundle, surface, phi):
         if id(prob) in seen:
             continue
         seen.add(id(prob))
-        ctx, num, forms, laurents = joint_problem(spec, alpha, bundle, surface, phi)
+        ctx, num, value, forms, laurents = joint_problem(spec, alpha, bundle, surface, phi)
         assert (prob.ctx.names, prob.ctx.degrees, prob.ctx.dim_cap) == (ctx.names, ctx.degrees, ctx.dim_cap)
         assert prob.ctx == ctx
-        assert prob.numerator == num
+        assert prob.factors[0] == value
+        folded = fold_factors(prob)
+        assert folded.numerator == num * value
         assert list(prob.denominator) == forms
-        assert list(prob.laurent_prefactors) == laurents
+        assert list(folded.factors) == laurents
 
 
 @pytest.mark.parametrize("q_polys", [None, {1: "z1", 2: "z1*z2", 3: "z1^2*z3"}])
@@ -597,8 +609,9 @@ def test_severi_one_node_structure():
     diff = MPoly.var(ctx, "z10") - MPoly.var(ctx, "z01")
     roots = twisted_roots(ctx, severi_bundle(), [MPoly.var(ctx, "z10"), MPoly.var(ctx, "z01")])
     assert prob.numerator == diff * diff * elementary_symmetric(2, roots)
-    assert len(prob.laurent_prefactors) == 3
-    assert prob.laurent_prefactors[0] == MPoly(ctx, {(-2, -2, 0, 0, 0): 1})
+    # built folded: the factors are the Laurent ones
+    assert len(prob.factors) == 3
+    assert prob.factors[0] == MPoly(ctx, {(-2, -2, 0, 0, 0): 1})
 
 
 def test_severi_two_node_structure():
@@ -619,9 +632,9 @@ def test_severi_two_node_structure():
     assert sorted(got, key=repr) == sorted(want, key=repr)
     # one Laurent monomial, the collision dual's z10 folded in, then the
     # Segre factors in contour order
-    assert len(prob.laurent_prefactors) == 6
-    assert format_poly(prob.laurent_prefactors[0]) == "z10^-3*z01^-2*z20^-2*z11^-2*z30^-2"
-    assert list(prob.laurent_prefactors[1:]) == [segre_factor(ctx, n, SURFACE) for n in ctx.residue_vars]
+    assert len(prob.factors) == 6
+    assert format_poly(prob.factors[0]) == "z10^-3*z01^-2*z20^-2*z11^-2*z30^-2"
+    assert list(prob.factors[1:]) == [segre_factor(ctx, n, SURFACE) for n in ctx.residue_vars]
     # independent numerator rebuild in the refined variable order
     refined = ("z10", "z20", "z30", "z01", "z11")
     num = difference_product(ctx, refined)

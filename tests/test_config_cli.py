@@ -132,7 +132,7 @@ def test_build_problem_denominator_split():
     ctx = prob.ctx
     assert surface.dim == 2
     # plain monomials become exact inverse Laurent factors
-    assert prob.laurent_prefactors == (
+    assert prob.factors == (
         MPoly.var(ctx, "z1", -1),
         MPoly(ctx, {(-2, -2, 0, 0, 0): 1}),
     )
@@ -269,6 +269,23 @@ def test_cli_severi_pairing_beyond_two_fails_before_building(capsys, monkeypatch
         cli.main(["severi", "--r", "3", "--d", "4"])
     assert exc.value.code == 2
     assert "r <= 2 only" in capsys.readouterr().err
+
+
+def test_cli_severi_template_warns_on_one_plain_stderr_line():
+    # the library's UserWarning would print as the path and line of its
+    # caller inside the CLI; the CLI prints its message as a warning line
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tautres.cli", "severi", "--r", "3"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == (
+        "warning: Severi conventions beyond r=2 are uncalibrated; "
+        "supply epd and prefactor explicitly and validate independently\n"
+    )
+    assert proc.stdout.startswith("vars z10 z01 z20 z11 z30 z21 z40 z50\nprefactor 1\n")
+    assert "numerator <120960 terms, expansion suppressed>\n" in proc.stdout
 
 
 def test_cli_severi_rejects_nonpositive_degree(capsys, monkeypatch):

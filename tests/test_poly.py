@@ -479,6 +479,13 @@ def sparse_polys(draw, ctx, residue=True, geometry=True):
 
 @given(st.sampled_from((CTX, CAPPED, TWENTY, TWENTY_CAPPED)).flatmap(sparse_polys))
 @settings(max_examples=100, deadline=None)
+def test_is_polynomial_matches_the_decoded_terms(p):
+    want = all(e >= 0 for key in p.terms for e in key[: p.ctx.k])
+    assert p.is_polynomial() == want
+
+
+@given(st.sampled_from((CTX, CAPPED, TWENTY, TWENTY_CAPPED)).flatmap(sparse_polys))
+@settings(max_examples=100, deadline=None)
 def test_format_matches_the_dense_reference(p):
     assert format_poly(p) == reference_text(p)
 

@@ -20,6 +20,7 @@ from tautres.residue import (
     ResidueProblem,
     TermBudgetExceeded,
     expand_inverse_at_infinity,
+    fold_factors,
     iterated_residue,
 )
 from tautres.verify import (
@@ -91,7 +92,7 @@ def test_residue_of_inverse_coordinate_product(k):
     names = tuple("z%d" % i for i in range(1, k + 1))
     ctx = VariableContext(residue_vars=names)
     inv = MPoly(ctx, {tuple([-1] * k): 1})
-    prob = ResidueProblem(ctx=ctx, numerator=MPoly.const(ctx, 1), laurent_prefactors=(inv,))
+    prob = ResidueProblem(ctx=ctx, numerator=MPoly.const(ctx, 1), factors=(inv,))
     assert iterated_residue(prob) == (-1) ** k
 
 
@@ -159,11 +160,24 @@ def test_deferred_prefactors_fit_a_budget_an_up_front_fold_exceeds(filtration, b
     assert evaluate(problem, surface, term_budget=budget) == evaluate(problem, surface)
 
 
-def test_numerator_assembly_runs_under_the_term_budget(monkeypatch):
-    # the (2,3,1) numerator grows past 10,000 terms before any residue step
+def test_numerator_factors_run_under_the_term_budget(monkeypatch):
+    # the (2,3,1) difference product (5,520 terms) times phi grows past
+    # 10,000 terms; assembly no longer takes that product, fold_factors
+    # does, under the kernel's budget and naming its layer.  Elimination
+    # multiplies phi in under the outermost step's window instead, which
+    # keeps no term: the value vanishes by degree
     monkeypatch.setattr("tautres.poly.DEFAULT_TERM_BUDGET", 10_000)
-    with pytest.raises(TermBudgetExceeded, match="while assembling the problems$"):
-        assemble_punctual(AlgebraSpec(7, (2, 3, 1)), severi_bundle(), generic_surface(), "c2")
+    surface = generic_surface()
+    problem = assemble_punctual(AlgebraSpec(7, (2, 3, 1)), severi_bundle(), surface, "c2")
+    assert len(problem.numerator) == 5_520
+    with pytest.raises(TermBudgetExceeded, match="exceeds budget 10000 while folding the factors$"):
+        fold_factors(problem)
+    assert iterated_residue(problem).is_zero()
+    # the nonzero (2,3): its z5 step multiplies phi in and peaks at 2,762 terms
+    monkeypatch.setattr("tautres.poly.DEFAULT_TERM_BUDGET", 2_000)
+    problem = assemble_punctual(AlgebraSpec(6, (2, 3)), severi_bundle(), surface, "c2")
+    with pytest.raises(TermBudgetExceeded, match="size 2\\d{3} exceeds budget 2000 while eliminating z5$"):
+        iterated_residue(problem)
 
 
 def test_problem_validation():
@@ -200,7 +214,7 @@ def _to_sympy(p: MPoly, syms: dict):
 def oracle_residue(prob: ResidueProblem):
     syms = {n: sympy.symbols(n) for n in prob.ctx.names}
     F = _to_sympy(prob.numerator, syms)
-    for lp in prob.laurent_prefactors:
+    for lp in prob.factors:
         F *= _to_sympy(lp, syms)
     for f in prob.denominator:
         F /= _to_sympy(f.as_poly(), syms) ** f.multiplicity
@@ -230,7 +244,7 @@ def test_oracle_single_variable_mixed_poles():
         ctx=ctx,
         numerator=z * z + c1 * z + MPoly.var(ctx, "c2"),
         denominator=(linear_form(ctx, z - c1, multiplicity=2),),
-        laurent_prefactors=(MPoly.var(ctx, "z", -1),),
+        factors=(MPoly.var(ctx, "z", -1),),
         prefactor=Fraction(3, 7),
     )
     _agrees_with_oracle(prob)
@@ -248,7 +262,7 @@ def test_oracle_two_variables_with_difference_form():
     )
     inv = MPoly(ctx, {(-1, -2, 0, 0): 1})
     prob = ResidueProblem(
-        ctx=ctx, numerator=num, denominator=forms, laurent_prefactors=(inv,)
+        ctx=ctx, numerator=num, denominator=forms, factors=(inv,)
     )
     _agrees_with_oracle(prob)
 
@@ -266,7 +280,7 @@ def test_oracle_with_series_prefactor():
         ctx=ctx,
         numerator=(z2 - z1) * (z2 + z1),
         denominator=(linear_form(ctx, z2 - z1, multiplicity=1),),
-        laurent_prefactors=(inv, segre),
+        factors=(inv, segre),
         prefactor=Fraction(-1, 2),
     )
     _agrees_with_oracle(prob)
@@ -293,11 +307,33 @@ def test_oracle_with_prefactors_deferred_past_outer_steps():
             linear_form(ctx, z2 - z1, multiplicity=2),
             linear_form(ctx, z1 - c1),
         ),
-        laurent_prefactors=(segre("z1"), inv, 1 + c2, segre("z2")),
+        factors=(segre("z1"), inv, 1 + c2, segre("z2")),
         prefactor=Fraction(3, 2),
     )
     assert not iterated_residue(prob).is_zero()
     _agrees_with_oracle(prob)
+
+
+def test_oracle_with_polynomial_factors():
+    # a polynomial factor spanning both variables joins the z2 step, one
+    # on z1 alone the z1 step, and a constant one scales before the first
+    ctx = VariableContext(residue_vars=("z1", "z2"), geometry=(("c1", 1), ("c2", 2)))
+    z1 = MPoly.var(ctx, "z1")
+    z2 = MPoly.var(ctx, "z2")
+    c1 = MPoly.var(ctx, "c1")
+    inv = MPoly(ctx, {(-1, -2, 0, 0): 1})
+    prob = ResidueProblem(
+        ctx=ctx,
+        numerator=z2 - z1,
+        denominator=(linear_form(ctx, 2 * z1 - z2), linear_form(ctx, z1 + c1)),
+        factors=(z1 * z2 + c1 * z2 + MPoly.var(ctx, "c2"), MPoly.const(ctx, -3), inv, z1 + c1),
+        prefactor=Fraction(1, 2),
+    )
+    assert not iterated_residue(prob).is_zero()
+    _agrees_with_oracle(prob)
+    folded = fold_factors(prob)
+    assert folded.factors == (inv,)
+    assert iterated_residue(folded) == iterated_residue(prob)
 
 
 def test_oracle_three_variables():
@@ -315,7 +351,7 @@ def test_oracle_three_variables():
         ctx=ctx,
         numerator=(z2 - z1) * (z3 - z1) * (z3 - z2),
         denominator=forms,
-        laurent_prefactors=(inv,),
+        factors=(inv,),
     )
     _agrees_with_oracle(prob)
 
