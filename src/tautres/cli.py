@@ -19,13 +19,23 @@ Evaluating subcommands print the canonical polynomial text on a
 
 with exact numerator/denominator integer pairs.  Exit status is 0 only
 on full success.
+
+Arguments are read from one table, COMMANDS: each subcommand's handler,
+positionals and options, each option an int, text, flag or repeatable
+(append) value.  An option is given as ``--name value`` or
+``--name=value``, or by any prefix of its name that no other option of
+the subcommand shares.  ``-h``/``--help`` prints usage from the same
+table.  A missing, unknown, ambiguous or malformed argument is an
+``error: ...`` line on stderr and exit status 2, as are errors in the
+input the arguments name.  The table is plain data, so a call imports
+no argument-parsing module.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 import warnings
+from types import SimpleNamespace
 
 from .assemble import (
     assemble_ghilb,
@@ -112,7 +122,7 @@ def _cmd_severi(args) -> int:
 
 def _cmd_ghilb(args) -> int:
     q_polys = {}
-    for spec in args.q or ():
+    for spec in args.q:
         if ":" not in spec:
             raise ConfigError("--q wants M:TEXT, got %r" % spec)
         m, text = spec.split(":", 1)
@@ -184,80 +194,184 @@ def _cmd_verify(args) -> int:
     return 0 if passed == len(results) else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tautres",
-        description="Exact tautological integrals over Hilbert schemes of points.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+INT, TEXT, FLAG, APPEND = "int", "text", "flag", "append"
 
-    p = sub.add_parser("eval", help="evaluate a problem-config file")
-    p.add_argument("config", help="path to a problem-config file")
-    p.set_defaults(func=_cmd_eval)
+# subcommand -> (handler, help, positionals as (name, help), options as
+# (name, kind, required, help)); a handler reads each name as an attribute
+COMMANDS = {
+    "eval": (
+        _cmd_eval,
+        "evaluate a problem-config file",
+        (("config", "path to a problem-config file"),),
+        (),
+    ),
+    "severi": (
+        _cmd_severi,
+        "built-in nodal-degree problems",
+        (),
+        (
+            ("r", INT, True, "number of nodes"),
+            ("d", INT, False, "also pair against the plane preset with L = d*H (r <= 2)"),
+            ("epd", TEXT, False, "dual polynomial text (r >= 3 only)"),
+            ("prefactor", TEXT, False, "rational prefactor p/q (r >= 3 only)"),
+            ("evaluate", FLAG, False, "for r >= 3, evaluate the emitted template as well"),
+        ),
+    ),
+    "ghilb": (
+        _cmd_ghilb,
+        "length-k merged-component term structure",
+        (),
+        (
+            ("k", INT, True, "number of points"),
+            ("phi", TEXT, False, "Chern polynomial text in c1, c2, ... (default 1)"),
+            (
+                "q",
+                APPEND,
+                False,
+                "homogeneous block polynomial Q_m for block size m+1 (m >= 1), "
+                "given as M:TEXT with TEXT in z1..zm; repeatable",
+            ),
+            ("evaluate", FLAG, False, "also print each term's residue"),
+        ),
+    ),
+    "mdeg": (
+        _cmd_mdeg,
+        "multidegree of a monomial ideal",
+        (),
+        (
+            ("gens", TEXT, True, "generators as exponent vectors, e.g. '2,0;1,1;0,2'"),
+            ("weights", TEXT, True, "weight symbols, one per variable, e.g. 'a,b'"),
+        ),
+    ),
+    "verify": (_cmd_verify, "run the acceptance suite", (), ()),
+}
 
-    p = sub.add_parser("severi", help="built-in nodal-degree problems")
-    p.add_argument("--r", type=int, required=True, help="number of nodes")
-    p.add_argument(
-        "--d",
-        type=int,
-        default=None,
-        help="also pair against the plane preset with L = d*H (r <= 2)",
-    )
-    p.add_argument("--epd", default=None, help="dual polynomial text (r >= 3 only)")
-    p.add_argument(
-        "--prefactor", default=None, help="rational prefactor p/q (r >= 3 only)"
-    )
-    p.add_argument(
-        "--evaluate",
-        action="store_true",
-        help="for r >= 3, evaluate the emitted template as well",
-    )
-    p.set_defaults(func=_cmd_severi)
 
-    p = sub.add_parser("ghilb", help="length-k merged-component term structure")
-    p.add_argument("--k", type=int, required=True, help="number of points")
-    p.add_argument(
-        "--phi", default=None, help="Chern polynomial text in c1, c2, ... (default 1)"
-    )
-    p.add_argument(
-        "--q",
-        action="append",
-        metavar="M:TEXT",
-        help="homogeneous block polynomial Q_m for block size m+1 (m >= 1), "
-        "text in z1..zm; repeatable",
-    )
-    p.add_argument(
-        "--evaluate", action="store_true", help="also print each term's residue"
-    )
-    p.set_defaults(func=_cmd_ghilb)
+def _help(command: str | None) -> str:
+    """Usage text for the program, or for one subcommand, from COMMANDS."""
+    if command is None:
+        lines = [
+            "usage: tautres {%s} ..." % ",".join(COMMANDS),
+            "",
+            "Exact tautological integrals over Hilbert schemes of points.",
+            "",
+            "commands:",
+        ]
+        lines.extend("  %-8s  %s" % (name, spec[1]) for name, spec in COMMANDS.items())
+        lines.append("\n'tautres COMMAND -h' lists a command's arguments.")
+        return "\n".join(lines)
+    _, about, positionals, options = COMMANDS[command]
+    usage = ["usage: tautres", command]
+    rows = [(name.upper(), text) for name, text in positionals]
+    for name, kind, required, text in options:
+        flag = "--" + name if kind == FLAG else "--%s %s" % (name, name.upper())
+        usage.append(flag if required else "[%s]" % flag)
+        rows.append((flag, text))
+    usage.extend(name.upper() for name, _ in positionals)
+    width = max((len(flag) for flag, _ in rows), default=0)
+    lines = [" ".join(usage), "", about]
+    if rows:
+        lines.append("")
+        lines.extend("  %-*s  %s" % (width, flag, text) for flag, text in rows)
+    return "\n".join(lines)
 
-    p = sub.add_parser("mdeg", help="multidegree of a monomial ideal")
-    p.add_argument(
-        "--gens", required=True, help="generators as exponent vectors, e.g. '2,0;1,1;0,2'"
-    )
-    p.add_argument(
-        "--weights", required=True, help="weight symbols, one per variable, e.g. 'a,b'"
-    )
-    p.set_defaults(func=_cmd_mdeg)
 
-    p = sub.add_parser("verify", help="run the acceptance suite")
-    p.set_defaults(func=_cmd_verify)
+def _option(token: str, names: tuple) -> str:
+    """The option a --name token names: exactly, or by a prefix of one name."""
+    if token in names:
+        return token
+    hits = [name for name in names if name.startswith(token)] if token else []
+    if len(hits) == 1:
+        return hits[0]
+    if hits:
+        raise ConfigError(
+            "ambiguous option --%s could be %s" % (token, ", ".join("--" + h for h in hits))
+        )
+    raise ConfigError("unknown option --%s" % token)
 
-    return parser
+
+def parse_args(argv: list) -> tuple:
+    """The handler argv names and the namespace of values to call it with.
+
+    Reads ``--name value``, ``--name=value``, flags, repeated append
+    options and unambiguous prefixes of option names; ``--`` ends the
+    options.  -h or --help prints the usage and raises SystemExit(0).  A
+    missing, unknown, ambiguous or malformed argument raises ConfigError.
+    """
+    command = handler = None
+    options, values, pending = {}, {}, []
+    tokens = iter(argv)
+    only_positionals = False
+    for token in tokens:
+        if only_positionals or token == "-" or not token.startswith("-"):
+            if command is None:
+                if token not in COMMANDS:
+                    raise ConfigError(
+                        "unknown subcommand %r (choose from %s)" % (token, ", ".join(COMMANDS))
+                    )
+                command = token
+                handler, _, positionals, specs = COMMANDS[token]
+                options = {name: kind for name, kind, _, _ in specs}
+                values = {name: {FLAG: False, APPEND: []}.get(kind) for name, kind in options.items()}
+                pending = [name for name, _ in positionals]
+            elif pending:
+                values[pending.pop(0)] = token
+            else:
+                raise ConfigError("unexpected argument %r" % token)
+            continue
+        if token == "--":
+            only_positionals = True
+            continue
+        if token == "-h":
+            name, value = "help", None
+        elif token.startswith("--"):
+            name, eq, value = token[2:].partition("=")
+            name = _option(name, tuple(options) + ("help",))
+            value = value if eq else None
+        else:
+            raise ConfigError("unknown option %s" % token)
+        if name == "help":
+            print(_help(command))
+            raise SystemExit(0)
+        kind = options[name]
+        if kind == FLAG:
+            if value is not None:
+                raise ConfigError("--%s takes no value" % name)
+            values[name] = True
+            continue
+        if value is None:
+            value = next(tokens, None)
+            if value is None:
+                raise ConfigError("--%s wants a value" % name)
+        if kind == INT:
+            try:
+                value = int(value)
+            except ValueError:
+                raise ConfigError("--%s wants an integer, got %r" % (name, value)) from None
+        if kind == APPEND:
+            values[name].append(value)
+        else:
+            values[name] = value
+    if command is None:
+        raise ConfigError("no subcommand given (choose from %s)" % ", ".join(COMMANDS))
+    missing = ["--" + name for name, _, required, _ in specs if required and values[name] is None]
+    missing.extend(name.upper() for name in pending)
+    if missing:
+        raise ConfigError("%s needs %s" % (command, ", ".join(missing)))
+    return handler, SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except ConfigError as exc:
-        parser.exit(2, "error: %s\n" % exc)
-    except (OSError, ValueError, TermBudgetExceeded) as exc:
-        parser.exit(2, "error: %s\n" % exc)
+        handler, args = parse_args(sys.argv[1:] if argv is None else argv)
+        return handler(args)
+    except (OSError, ValueError, TermBudgetExceeded) as exc:  # ConfigError is a ValueError
+        message = exc
     except KeyError as exc:
         # input text naming a variable its context does not have
-        parser.exit(2, "error: %s\n" % exc.args[0])
+        message = exc.args[0]
+    sys.stderr.write("error: %s\n" % message)
+    raise SystemExit(2)
 
 
 if __name__ == "__main__":

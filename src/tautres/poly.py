@@ -48,10 +48,10 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
+from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import Mapping
 
 from .record import Record
 

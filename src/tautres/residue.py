@@ -31,6 +31,15 @@ truncation of products is a quotient by an ideal, so the order of the
 products does not change the result.  For the same reason fold_factors,
 which multiplies the polynomial factors into the numerator up front,
 leaves the residue unchanged.
+
+Vanishing by degree.  Each expansion of a form led by t has t-exponents
+at most minus its multiplicity, so after a step's products no term has
+a t-exponent above d_max (the top t-exponent of the numerator plus
+those of the step's factors) minus the summed multiplicities of the
+forms led by t.  When that bound is below -1, or the numerator is
+already zero, the t^{-1} coefficient is zero, every later step
+multiplies zero, and the residue is zero: elimination returns it before
+the step's expansions and products.
 """
 
 from __future__ import annotations
@@ -199,6 +208,8 @@ def iterated_residue(problem: ResidueProblem, term_budget: int | None = None) ->
         factors = [(p, p.min_exponent(i), p.max_exponent(i)) for p in deferred.get(i, ())]
         d_max = num.max_exponent(i) + sum(top for _, _, top in factors)
         total_mult = sum(f.multiplicity for f in led)
+        if num.is_zero() or d_max - total_mult < -1:
+            return MPoly.zero(ctx)  # no term reaches t^-1 (module docstring)
         for f in led:
             cutoff = -1 - d_max + (total_mult - f.multiplicity)
             expansion = expand_inverse_at_infinity(f, cutoff, budget=term_budget)

@@ -301,16 +301,99 @@ def test_cli_severi_rejects_nonpositive_degree(capsys, monkeypatch):
 
 
 def test_cli_import_stays_light():
-    # dataclasses pulls in inspect, ast, dis and tokenize: a fifth of a fresh call
+    # dataclasses pulls in inspect, ast, dis and tokenize: a fifth of a
+    # fresh call; argparse loads gettext and locale and builds a parser
+    # per subcommand on every call
     code = (
         "import sys; before = set(sys.modules); import tautres.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+        "light = sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)); "
+        "tautres.cli.main(['severi', '--r', '1']); "
+        "print(light, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out.strip() == "[]"
+    assert out.splitlines()[0] == "value 3*L^2 + 2*L*c1 + c2"
+    assert out.splitlines()[-1] == "[] []"
+
+
+# -- argument parsing ---------------------------------------------------------
+
+SEVERI = {"d": None, "epd": None, "prefactor": None, "evaluate": False}
+GHILB = {"phi": None, "q": [], "evaluate": False}
+BLOCKS = ["--q", "1:z1", "--q", "2:z1*z2", "--q", "3:z1^2*z3"]
+
+
+# every argv form the tests and the benchmark pass, and the forms an
+# option table must still read: --name=value, a repeated --q, prefixes
+@pytest.mark.parametrize(
+    "argv,command,values",
+    [
+        (["severi", "--r", "1"], "severi", dict(SEVERI, r=1)),
+        (["severi", "--r", "2", "--d", "4"], "severi", dict(SEVERI, r=2, d=4)),
+        (["severi", "--r", "2", "--d", "-3"], "severi", dict(SEVERI, r=2, d=-3)),
+        (["severi", "--r", "3", "--epd", ""], "severi", dict(SEVERI, r=3, epd="")),
+        (["severi", "--r", "3", "--prefactor", "1/0"], "severi", dict(SEVERI, r=3, prefactor="1/0")),
+        (["severi", "--r", "3", "--evaluate"], "severi", dict(SEVERI, r=3, evaluate=True)),
+        (["severi", "--r=2", "--d=7"], "severi", dict(SEVERI, r=2, d=7)),
+        (["severi", "--eval", "--r", "3", "--pre", "1/2"], "severi", dict(SEVERI, r=3, evaluate=True, prefactor="1/2")),
+        (["eval", "configs/one_node.cfg"], "eval", {"config": "configs/one_node.cfg"}),
+        (["eval", "--", "-odd.cfg"], "eval", {"config": "-odd.cfg"}),
+        (["mdeg", "--gens", "2,0;1,1;0,2", "--weights", "a,b"], "mdeg", {"gens": "2,0;1,1;0,2", "weights": "a,b"}),
+        (["ghilb", "--k", "13"], "ghilb", dict(GHILB, k=13)),
+        (["ghilb", "--k=6", "--phi", "2*c2 + 3*c1^2", "--evaluate"], "ghilb", dict(GHILB, k=6, phi="2*c2 + 3*c1^2", evaluate=True)),
+        (["ghilb", "--k", "4"] + BLOCKS + ["--phi", "c2", "--evaluate"], "ghilb", dict(GHILB, k=4, phi="c2", evaluate=True, q=["1:z1", "2:z1*z2", "3:z1^2*z3"])),
+        (["ghilb", "--k", "2", "--q=1:", "--eval"], "ghilb", dict(GHILB, k=2, q=["1:"], evaluate=True)),
+        (["verify"], "verify", {}),
+    ],
+)
+def test_parse_args_reads_every_form(argv, command, values):
+    handler, args = cli.parse_args(argv)
+    assert handler is getattr(cli, "_cmd_" + command)
+    assert vars(args) == values
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["severi", "--r", "1", "--e"], "ambiguous option --e could be --epd, --evaluate"),
+        (["severi", "--r", "1", "--bogus", "2"], "unknown option --bogus"),
+        (["ghilb", "--k", "six"], "--k wants an integer, got 'six'"),
+        (["ghilb", "--k="], "--k wants an integer, got ''"),
+        (["severi", "--d", "4"], "severi needs --r"),
+        (["severi", "--r"], "--r wants a value"),
+        (["severi", "--r", "1", "--evaluate=yes"], "--evaluate takes no value"),
+        (["eval"], "eval needs CONFIG"),
+        (["eval", "a.cfg", "b.cfg"], "unexpected argument 'b.cfg'"),
+        (["solve"], "unknown subcommand 'solve'"),
+        ([], "no subcommand given"),
+    ],
+)
+def test_malformed_arguments_exit_2_with_an_error_line(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+def test_help_names_every_subcommand_and_option(capsys):
+    for argv in (["-h"], ["--help"], ["severi", "--r", "1", "--he"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+    top, top_long, severi = capsys.readouterr().out.split("usage: ")[1:]
+    assert top == top_long
+    assert all(command in top for command in ("eval", "severi", "ghilb", "mdeg", "verify"))
+    assert severi.startswith("tautres severi --r R [--d D]")
+    for command, (_, _, positionals, options) in cli.COMMANDS.items():
+        with pytest.raises(SystemExit):
+            cli.main([command, "-h"])
+        out = capsys.readouterr().out
+        assert all(name.upper() in out for name, _ in positionals)
+        assert all("--" + name in out and text in out for name, _, _, text in options)
 
 
 def test_cli_eval_config(capsys):

@@ -153,7 +153,9 @@ def test_term_budget_is_enforced(monkeypatch):
 def test_deferred_prefactors_fit_a_budget_an_up_front_fold_exceeds(filtration, budget):
     # multiplying every Laurent prefactor into the numerator before any
     # elimination peaks at 66,755 terms for (2,3,1) and 9,804 for (2,3),
-    # whose value is nonzero; each variable's own step stays below the budget
+    # whose value is nonzero; each variable's own step stays below the
+    # budget, and (2,3,1) vanishes by degree at its first step, before
+    # any product
     surface = generic_surface()
     algebra = AlgebraSpec(sum(filtration) + 1, filtration)
     problem = assemble_punctual(algebra, severi_bundle(), surface, "c2")
@@ -164,8 +166,8 @@ def test_numerator_factors_run_under_the_term_budget(monkeypatch):
     # the (2,3,1) difference product (5,520 terms) times phi grows past
     # 10,000 terms; assembly no longer takes that product, fold_factors
     # does, under the kernel's budget and naming its layer.  Elimination
-    # multiplies phi in under the outermost step's window instead, which
-    # keeps no term: the value vanishes by degree
+    # never takes it: the value vanishes by degree, which the outermost
+    # step sees before its expansions and products
     monkeypatch.setattr("tautres.poly.DEFAULT_TERM_BUDGET", 10_000)
     surface = generic_surface()
     problem = assemble_punctual(AlgebraSpec(7, (2, 3, 1)), severi_bundle(), surface, "c2")
@@ -178,6 +180,27 @@ def test_numerator_factors_run_under_the_term_budget(monkeypatch):
     problem = assemble_punctual(AlgebraSpec(6, (2, 3)), severi_bundle(), surface, "c2")
     with pytest.raises(TermBudgetExceeded, match="size 2\\d{3} exceeds budget 2000 while eliminating z5$"):
         iterated_residue(problem)
+
+
+def test_a_residue_that_vanishes_by_degree_takes_no_product(monkeypatch):
+    # z^2/(z-L)^3 reaches z^-1 exactly and is computed; z/(z-L)^3 tops
+    # out at z^-2, so elimination returns zero before expanding the form
+    ctx = VariableContext(residue_vars=("z",), geometry=(("L", 1),))
+    z = MPoly.var(ctx, "z")
+    form = linear_form(ctx, z - MPoly.var(ctx, "L"), multiplicity=3)
+    reaching = ResidueProblem(ctx=ctx, numerator=z * z, denominator=(form,))
+    assert iterated_residue(reaching) == -1
+    _agrees_with_oracle(reaching)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a product or an expansion was taken")
+
+    short = ResidueProblem(ctx=ctx, numerator=z, denominator=(form,))
+    with monkeypatch.context() as patch:
+        patch.setattr(MPoly, "mul", refuse)
+        patch.setattr("tautres.residue.expand_inverse_at_infinity", refuse)
+        assert iterated_residue(short) == MPoly.zero(ctx)
+    _agrees_with_oracle(short)
 
 
 def test_problem_validation():

@@ -57,11 +57,12 @@ def test_a_traced_cli_call_records_its_layers(capsys):
 
 def test_a_traced_punctual_evaluation_records_its_layers():
     # the in-process path of the benchmark's punctual workload, called
-    # through the module names the tracer patches
+    # through the module names the tracer patches; (2,2) has residue 4
+    # and expands 6 forms, where (2,1) vanishes by degree before any
     tracer = load_tracer()
     surface = generic_surface()
     with tracer.installed(tracer.Tracer()) as t:
-        problem = assemble.assemble_punctual(AlgebraSpec(4, (2, 1)), severi_bundle(), surface, "c2")
+        problem = assemble.assemble_punctual(AlgebraSpec(5, (2, 2)), severi_bundle(), surface, "c2")
         assemble.evaluate(problem, surface)
     metrics = tracer.layer_metrics(t.spans)
     assert metrics["assemble.calls"] == 1
