@@ -27,7 +27,7 @@ partition with equal ordered block data, built once; for k points
 assemble_ghilb returns Bell(k) terms over 2^(k-1) problems, one per
 ordered block-size sequence.  Consumers may memoize by object identity.
 A problem's numerator is the product of its blocks' difference
-products.  phi at the Whitney classes and the block epds go first in its
+factors.  phi at the Whitney classes and the block epds go first in its
 factors, then the Laurent factors; iterated_residue multiplies each in
 at the elimination step of its outermost variable, under that step's
 window, and fold_factors multiplies the polynomial ones out for a
@@ -42,14 +42,17 @@ before any is enumerated.
 assemble_severi builds the r-nodal problem as the punctual problem of
 the Severi algebra (box x^a*y^b weighs 3a + 5b), whose one block goes
 through the same block builder and is then folded: its numerator is the
-whole template.  The sign between its contour-order difference product
-and the published refined-order one is folded into the block epd, which
-multiplies the numerator after phi.  r = 1, 2 carry prefactors fixed by
-the classical a_1 and a_2; r >= 3 warns.
+whole template, one product of phi, the epd and the pair factors.  The
+sign between its contour-order difference product and the published
+refined-order one is folded into the block epd.  r = 1, 2 carry
+prefactors fixed by the classical a_1 and a_2; r >= 3 warns.
 
 Difference-factor convention: the numerator takes one factor (z_i - z_j)
 for every ordered pair i != j with w(i) <= w(j).  Equal weights thus
 contribute -(z_i - z_j)^2, strictly increasing weights a single factor.
+A block lists them in Vandermonde order, by (-min(i, j), -max(i, j)):
+each prefix is the difference product of the last few variables, so the
+running product of MPoly.product stays small.
 
 A TermBudgetExceeded raised while a builder assembles its problems
 says so in its message.
@@ -86,7 +89,7 @@ from .diagrams import (
 from .multidegree import balanced_dual_text, nakajima_dual
 from .poly import LinearForm, MPoly, TermBudgetExceeded, VariableContext, format_poly, parse_poly
 from .record import Record, replace
-from .residue import ResidueProblem, fold_factors, iterated_residue
+from .residue import ResidueProblem, iterated_residue
 
 
 class AlgebraSpec(Record):
@@ -182,10 +185,8 @@ def _apply_phi(ctx: VariableContext, phi_terms, chern) -> MPoly:
     for coef, powers in phi_terms:
         if any(m >= len(chern) for m in powers):
             continue
-        term = MPoly.const(ctx, coef)
-        for m, p in sorted(powers.items()):
-            term = term.mul(chern[m].pow(p))
-        total = total + term
+        classes = [chern[m] for m, p in sorted(powers.items()) for _ in range(p)]
+        total = total + MPoly.product(ctx, [MPoly.const(ctx, coef), *classes])
     return total
 
 
@@ -207,13 +208,11 @@ def _whitney(total: list, block: list, d: int) -> list:
 # -- shared factor builders ----------------------------------------------
 
 
-def _difference_product(ctx: VariableContext, names, weights) -> MPoly:
-    """The product of (z_i - z_j) over ordered pairs i != j with w(i) <= w(j)."""
-    num = MPoly.const(ctx, 1)
-    for i, j in itertools.permutations(range(len(names)), 2):
-        if weights[i] <= weights[j]:
-            num = num.mul(MPoly.var(ctx, names[i]) - MPoly.var(ctx, names[j]))
-    return num
+def _difference_factors(ctx: VariableContext, names, weights) -> tuple:
+    """(z_i - z_j) over ordered pairs i != j with w(i) <= w(j), in Vandermonde order."""
+    z = [MPoly.var(ctx, n) for n in names]
+    pairs = [(i, j) for i, j in itertools.permutations(range(len(z)), 2) if weights[i] <= weights[j]]
+    return tuple(z[i] - z[j] for i, j in sorted(pairs, key=lambda ij: (-min(ij), -max(ij))))
 
 
 def _pair_sums(weights) -> tuple:
@@ -323,7 +322,7 @@ class _BlockPieces(Record):
 
     ctx: the block's residue variables and one unsuffixed copy of the
         bundle and surface symbols.
-    numerator: the difference-factor product.
+    differences: the difference factors, in Vandermonde order.
     epd: the block epd, or None for 1; it follows phi among the factors.
     pair_sums: index triples of the pair-sum denominators.
     laurents: the Laurent monomial, when not 1, then one Segre factor
@@ -333,7 +332,7 @@ class _BlockPieces(Record):
     """
 
     ctx: VariableContext
-    numerator: MPoly
+    differences: tuple
     epd: MPoly | None
     pair_sums: tuple
     laurents: tuple
@@ -352,7 +351,7 @@ def _block_pieces(block_data, bundle, surface, d: int, whole: bool) -> _BlockPie
     names, weights, epd_text, (exps, coef) = block_data
     geometry = tuple((r, 1) for r in bundle.roots) + tuple(surface.chern_symbols)
     ctx = VariableContext(names, geometry, surface.dim if whole else None)
-    num = _difference_product(ctx, names, weights)
+    differences = _difference_factors(ctx, names, weights)
     epd = None
     if epd_text is not None:
         epd = _check_epd(parse_poly(ctx, epd_text), "epd %r" % epd_text)
@@ -362,7 +361,7 @@ def _block_pieces(block_data, bundle, surface, d: int, whole: bool) -> _BlockPie
     laurents.extend(segre_factor(ctx, n, surface) for n in names)
     roots = twisted_roots(ctx, bundle, [MPoly.var(ctx, n) for n in names])
     chern = chern_classes(ctx, roots, min(d, len(roots)))
-    return _BlockPieces(ctx, num, epd, _pair_sums(weights), tuple(laurents), chern)
+    return _BlockPieces(ctx, differences, epd, _pair_sums(weights), tuple(laurents), chern)
 
 
 def _check_partition_count(s: int) -> None:
@@ -482,7 +481,7 @@ def _partition_problem(pieces, key, phi_terms, d: int, dim: int, source=None) ->
     prefixed b<l> (b2z1, ...) and the geometry copy suffixed _<l>, laid
     out by _joint_slots; the joint dim_cap is dim times the block count,
     and MPoly.relabel places each piece by that slot map.  The numerator
-    is the product of the blocks' difference products; the factors are
+    is one product of the blocks' difference factors; the factors are
     phi at the Whitney sum of the blocks' Chern classes, then the blocks'
     epds, then their Laurent factors.
 
@@ -522,7 +521,7 @@ def _partition_problem(pieces, key, phi_terms, d: int, dim: int, source=None) ->
     laurents = [place(f, slots) for p, slots in placed for f in p.laurents]
     relabel_of = None
     if source is None:
-        num = reduce(MPoly.mul, [place(p.numerator, slots) for p, slots in placed])
+        num = MPoly.product(ctx, [place(f, slots) for p, slots in placed for f in p.differences])
         chern = reduce(
             lambda total, block: _whitney(total, block, d),
             [[place(c, slots) for c in p.chern] for p, slots in placed],
@@ -641,9 +640,9 @@ def assemble_severi(r: int, epd: str | None = None, prefactor=None) -> ResiduePr
     same pair-sum forms.  The small boxes x..x^(r-1) carry the collision
     dual in the Laurent monomial.  The published numerator takes the
     difference product in the refined order (x^a, then x^b*y), so the sign
-    of the reordering is folded into the epd, which joins after phi.  The
-    problem comes folded (fold_factors): its numerator is the whole
-    template, its factors the Laurent ones.
+    of the reordering is folded into the epd.  The problem comes folded:
+    its numerator, the whole template, is one product of phi, the epd and
+    the pair factors, and its factors are the Laurent ones.
     r = 1 and r = 2 carry the prefactors of SEVERI_PREFACTOR; r >= 3
     warns, since no published value pins its epd and prefactor.  A
     product that outgrows the term budget raises TermBudgetExceeded with
@@ -672,9 +671,9 @@ def assemble_severi(r: int, epd: str | None = None, prefactor=None) -> ResiduePr
     data = (names, weights, epd_text, (laurent, Fraction(1)))
     try:
         pieces = _block_pieces(data, severi_bundle(), surface, 2 * r, whole=True)
-        problem = fold_factors(
-            _partition_problem([pieces], (0,), normalize_phi(2 * r), 2 * r, surface.dim)
-        )
+        ctx = pieces.ctx
+        phi = _apply_phi(ctx, normalize_phi(2 * r), pieces.chern)
+        template = MPoly.product(ctx, [phi, pieces.epd, *pieces.differences])
     except TermBudgetExceeded as exc:
         raise TermBudgetExceeded("%s while assembling the problem" % exc) from None
 
@@ -687,7 +686,8 @@ def assemble_severi(r: int, epd: str | None = None, prefactor=None) -> ResiduePr
             stacklevel=2,
         )
         pref = Fraction(prefactor) if prefactor is not None else Fraction(1)
-    return replace(problem, prefactor=pref)
+    forms = _pair_sum_forms(ctx, range(ctx.k), pieces.pair_sums)
+    return ResidueProblem(ctx, template, tuple(forms), pieces.laurents, pref)
 
 
 # -- evaluation ------------------------------------------------------------

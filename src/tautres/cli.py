@@ -134,8 +134,9 @@ def _cmd_ghilb(args) -> int:
 
     # the numerator line prints the whole product, so each source problem
     # is folded and eliminated from that product; a relabel folds to the
-    # relabel of its source's folded problem, listed before it
-    folded = {}  # id of an assembled problem -> it folded
+    # relabel of its source's folded problem, listed before it, dropped
+    # once its body is rendered
+    folded = {}  # id of an assembled source problem -> it folded
     residues = {}  # id of an eliminated problem -> its residue
 
     def residue(problem):
@@ -150,12 +151,13 @@ def _cmd_ghilb(args) -> int:
     bodies = {}  # terms sharing a problem object share its text and residue
     for alpha, problem in terms:
         if id(problem) not in bodies:
-            relabel_of = problem.relabel_of
-            source = None if relabel_of is None else folded[id(relabel_of[0])]
-            folded[id(problem)] = fold_factors(problem, source)
-            lines = _problem_lines(folded[id(problem)])
+            if problem.relabel_of is None:
+                body = folded[id(problem)] = fold_factors(problem)
+            else:
+                body = fold_factors(problem, folded[id(problem.relabel_of[0])])
+            lines = _problem_lines(body)
             if args.evaluate:
-                lines.append("residue %s" % format_poly(residue(folded[id(problem)])))
+                lines.append("residue %s" % format_poly(residue(body)))
             bodies[id(problem)] = "\n".join(lines)
         label = "".join("{%s}" % ",".join(str(x) for x in blk) for blk in alpha)
         print("term %s" % label)

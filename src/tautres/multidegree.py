@@ -120,8 +120,9 @@ def multidegree(ideal: MonomialIdeal):
         count = _standard_monomial_count(restricted, c)
         if count is None:
             continue  # positive-dimensional localization: P_S not minimal
-        term = reduce(mul, [ideal.weights[i] for i in subset])
-        term = term * count if not hasattr(term, "scale") else term.scale(count)
+        weights = [ideal.weights[i] for i in subset]
+        polys = all(isinstance(w, MPoly) for w in weights)
+        term = (MPoly.product(weights[0].ctx, weights) if polys else reduce(mul, weights)) * count
         total = term if total is None else total + term
     if total is None:
         raise AssertionError("no minimal primes found for a proper ideal")

@@ -42,6 +42,13 @@ DEFAULT_TERM_BUDGET, read at call time.  There is no unbudgeted
 product, so ``*``, ``pow`` and every helper built on them hold the
 budget without passing one along.  Callers catch the error where they
 can name the layer it was raised in.
+
+Product rule.  Every product of a list of factors is ``MPoly.product``:
+it starts from the factor with the most terms and multiplies the others
+into it in the order listed, a constant one by scaling; no factors give
+1.  Any order gives the same polynomial, so callers order for speed
+(``pow`` is a chain of n copies; assemble.py lists pair factors in
+Vandermonde order).
 """
 
 from __future__ import annotations
@@ -340,23 +347,26 @@ class MPoly:
         a = value.numerator
         return _reduced(self.ctx, {k: c * a for k, c in self._t.items()}, self._den * value.denominator)
 
-    def pow(self, n: int) -> "MPoly":
-        """self^n by repeated squaring."""
-        if n < 0:
-            raise ValueError("negative power on MPoly")
-        out = MPoly.const(self.ctx, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out.mul(base)
-            base_needed = n >> 1
-            if base_needed:
-                base = base.mul(base)
-            n = base_needed
+    @staticmethod
+    def product(ctx: VariableContext, factors, budget: int | None = None) -> "MPoly":
+        """The factors' product by the product rule (module docstring), each mul under budget."""
+        factors = list(factors)
+        if any(f.ctx != ctx for f in factors):
+            raise ValueError("context mismatch")
+        if not factors:
+            return MPoly.const(ctx, 1)
+        out = factors.pop(max(range(len(factors)), key=lambda i: len(factors[i]._t)))
+        for f in factors:
+            out = out.scale(f.constant_value()) if f.is_constant() else out.mul(f, budget=budget)
         return out
 
-    def __pow__(self, n: int):
-        return self.pow(n)
+    def pow(self, n: int) -> "MPoly":
+        """self^n as the product of n copies of self."""
+        if n < 0:
+            raise ValueError("negative power on MPoly")
+        return MPoly.product(self.ctx, [self] * n)
+
+    __pow__ = pow
 
     def relabel(self, ctx: VariableContext, slots) -> "MPoly":
         """This polynomial moved into ctx, slot i going to slot slots[i].

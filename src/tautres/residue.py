@@ -20,17 +20,17 @@ only produce total t-exponents below -1.
 A problem's integrand is its numerator times its factors, polynomial
 or Laurent (phi, epds, Segre series, inverse monomials).  Each factor
 joins the step of its outermost variable, the largest contour index
-with a nonzero exponent in it; one in geometry symbols only is
-multiplied in once, before the first step, and a constant one scales.
-At the step for t the factors, then the expansions, are multiplied into
-the numerator one at a time, each product cut to the t-exponents from
-which the factors still to come can reach t^{-1}.  Deferring a factor is
-exact: it does not contain the variables eliminated before its step, so
-it commutes with taking their coefficients, and the ``dim_cap``
-truncation of products is a quotient by an ideal, so the order of the
-products does not change the result.  For the same reason fold_factors,
-which multiplies the polynomial factors into the numerator up front,
-leaves the residue unchanged.
+with a nonzero exponent in it; the numerator and the factors in
+geometry symbols only are one MPoly.product before the first step.  At
+the step for t the factors and the expansions, fewest terms first, are
+multiplied into the numerator one at a time, each product cut to the
+t-exponents from which the factors after it in that order can still
+reach t^{-1}, so any order is exact.  Deferring a factor is exact: it
+does not contain the variables eliminated before its step, so it
+commutes with taking their coefficients, and the ``dim_cap`` truncation
+of products is a quotient by an ideal, so the order of the products
+does not change the result.  For the same reason fold_factors, which
+multiplies the polynomial factors out up front, keeps the residue.
 
 Vanishing by degree.  Each expansion of a form led by t has t-exponents
 at most minus its multiplicity, so after a step's products no term has
@@ -151,19 +151,12 @@ def _outermost_variable(p: MPoly) -> int | None:
     )
 
 
-def _times(num: MPoly, factor: MPoly, budget: int | None = None) -> MPoly:
-    """num * factor; a constant factor scales num instead of a product pass."""
-    if factor.is_constant():
-        return num.scale(factor.constant_value())
-    return num.mul(factor, budget=budget)
-
-
 def fold_factors(problem: ResidueProblem, source: ResidueProblem | None = None) -> ResidueProblem:
     """The problem with its polynomial factors multiplied into its numerator.
 
     The Laurent factors stay, in order; the residue is the problem's.  A
-    constant factor scales.  A product that outgrows the term budget
-    raises TermBudgetExceeded with this layer named.
+    product that outgrows the term budget raises TermBudgetExceeded with
+    this layer named.
 
     source, for a problem with a relabel_of, is that relabel's source
     already folded: its numerator is relabelled instead of multiplying
@@ -176,10 +169,8 @@ def fold_factors(problem: ResidueProblem, source: ResidueProblem | None = None) 
         slots = problem.relabel_of[1]
         num = source.numerator.relabel(problem.ctx, slots)
         return replace(problem, numerator=num, factors=tuple(laurents), relabel_of=(source, slots))
-    num = problem.numerator
     try:
-        for p in polys:
-            num = _times(num, p)
+        num = MPoly.product(problem.ctx, [problem.numerator, *polys])
     except TermBudgetExceeded as exc:
         raise TermBudgetExceeded("%s while folding the factors" % exc) from None
     return replace(problem, numerator=num, factors=tuple(laurents))
@@ -192,14 +183,10 @@ def iterated_residue(problem: ResidueProblem, term_budget: int | None = None) ->
     Raises TermBudgetExceeded rather than degrading precision.
     """
     ctx = problem.ctx
-    num = problem.numerator
-    deferred: dict = {}
+    deferred: dict = {None: [problem.numerator]}
     for p in problem.factors:
-        i = _outermost_variable(p)
-        if i is None:
-            num = _times(num, p, term_budget)
-        else:
-            deferred.setdefault(i, []).append(p)
+        deferred.setdefault(_outermost_variable(p), []).append(p)
+    num = MPoly.product(ctx, deferred[None], term_budget)
     remaining = list(problem.denominator)
     for i in range(ctx.k - 1, -1, -1):
         led = [f for f in remaining if f.leading_index() == i]
@@ -214,6 +201,7 @@ def iterated_residue(problem: ResidueProblem, term_budget: int | None = None) ->
             cutoff = -1 - d_max + (total_mult - f.multiplicity)
             expansion = expand_inverse_at_infinity(f, cutoff, budget=term_budget)
             factors.append((expansion.poly, cutoff, -f.multiplicity))
+        factors.sort(key=lambda entry: len(entry[0]))
         # window pruning: after factor j, the factors still to come
         # contribute exponents in [sum of their lows, sum of their highs]
         for j, (factor, _, _) in enumerate(factors):

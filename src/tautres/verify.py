@@ -208,11 +208,8 @@ def grassmann_residue_problem(n: int, d: int, alpha: MPoly) -> ResidueProblem:
     Denominator: (lam_i - z_m) for every i, m, each to the first power.
     """
     ctx = alpha.ctx
-    num = alpha
-    for m in range(d):
-        for l in range(d):
-            if m != l:
-                num = num * (MPoly.var(ctx, "z%d" % (m + 1)) - MPoly.var(ctx, "z%d" % (l + 1)))
+    z = [MPoly.var(ctx, "z%d" % (m + 1)) for m in range(d)]
+    num = MPoly.product(ctx, [alpha] + [z[m] - z[l] for m in range(d) for l in range(d) if m != l])
     forms = []
     for m in range(d):
         coeffs = [Fraction(0)] * ctx.k

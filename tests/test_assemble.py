@@ -551,11 +551,12 @@ def test_every_assembly_and_elimination_product_is_budgeted(monkeypatch):
 @pytest.mark.parametrize(
     "budget,build,message",
     [
-        # a power of phi: squaring the block's 7-term c2 on the way to c2^4
+        # a power of phi: the chain c2 * c2 * c2 of the block's 7-term c2
+        # (19 terms, then 34) on the way to c2^4
         (
             30,
             lambda: assemble_punctual(AlgebraSpec(4, (2, 1)), severi_bundle(), SURFACE, "c2^4"),
-            "intermediate size 36 exceeds budget 30 while assembling the problems",
+            "intermediate size 32 exceeds budget 30 while assembling the problems",
         ),
         # the Segre factor of the one variable, a Laurent piece
         (

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -468,6 +469,27 @@ def test_cli_ghilb_block_polynomials_are_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "ac22318dc10b07b011483af9991317d662eae36c58b15435329831170f481b79"
     )
+
+
+def test_cli_ghilb_keeps_no_relabel_once_its_body_is_printed(capsys, monkeypatch):
+    # only block-multiset sources are read again; when a fold is taken, at
+    # most the relabel fold of the body printed just before is still held
+    from tautres import residue
+
+    fold_factors = residue.fold_factors
+    relabels = []
+
+    def spy(problem, source=None):
+        assert sum(ref() is not None for ref in relabels) <= 1
+        out = fold_factors(problem, source)
+        if source is not None:
+            relabels.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(residue, "fold_factors", spy)
+    assert cli.main(["ghilb", "--k", "5", "--phi", "2*c2-c1^2", "--evaluate"]) == 0
+    capsys.readouterr()
+    assert len(relabels) == 9  # 16 bodies, p(5) = 7 of them sources
 
 
 def test_cli_ghilb_refuses_a_support_with_too_many_partitions(capsys, monkeypatch):

@@ -16,13 +16,15 @@ import pytest
 
 from tautres.assemble import (
     AlgebraSpec,
+    _difference_factors,
     assemble_ghilb,
     assemble_punctual,
     evaluate,
     severi_bundle,
 )
 from tautres.chern import elementary_symmetric, generic_surface, segre_factor, twisted_roots
-from tautres.poly import MPoly, format_poly
+from tautres.diagrams import weight_map
+from tautres.poly import MPoly, VariableContext, format_poly
 from tautres.residue import fold_factors, iterated_residue
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -90,15 +92,48 @@ def test_folding_ghilb_factors_keeps_the_residue(q_polys):
     assert relabels == 13  # 0 + 0 + 1 + 3 + 9
 
 
-def test_punctual_numerator_is_the_difference_product_and_phi_comes_first():
-    problem = punctual((2, 2, 1), "3*c2 + 7*c1^2")
-    ctx = problem.ctx
+def permutation_order_product(ctx, weights):
+    """The difference product, its pairs taken in itertools.permutations order."""
     z = [MPoly.var(ctx, n) for n in ctx.residue_vars]
-    weights = (1, 1, 2, 2, 3)
     diff = MPoly.const(ctx, 1)
     for i, j in itertools.permutations(range(len(z)), 2):
         if weights[i] <= weights[j]:
             diff = diff * (z[i] - z[j])
+    return diff
+
+
+@pytest.mark.parametrize("filtration", PUNCTUAL_FILTRATIONS)
+def test_vandermonde_order_gives_the_punctual_difference_products(filtration):
+    problem = punctual(filtration, "c2")
+    wmap = weight_map(filtration)
+    weights = [wmap[i] for i in range(1, problem.ctx.k + 1)]
+    assert problem.numerator == permutation_order_product(problem.ctx, weights)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_vandermonde_order_gives_the_severi_difference_products(r):
+    boxes = sorted(
+        [(a, 0) for a in range(1, 2 * r)] + [(b, 1) for b in range(r)],
+        key=lambda box: 3 * box[0] + 5 * box[1],
+    )
+    names = tuple("z%d%d" % box for box in boxes)
+    weights = [3 * a + 5 * b for a, b in boxes]
+    ctx = VariableContext(names, (("L", 1), ("c1", 1), ("c2", 2)), 2)
+    factors = _difference_factors(ctx, names, weights)
+    # each prefix is the whole difference product of the last few variables
+    k = len(names)
+    for n in range(2, k + 1):
+        trailing = set(range(k - n, k))
+        for f in factors[: n * (n - 1) // 2]:
+            assert {i for i in range(k) if f.max_exponent(i)} <= trailing
+    assert MPoly.product(ctx, factors) == permutation_order_product(ctx, weights)
+
+
+def test_punctual_numerator_is_the_difference_product_and_phi_comes_first():
+    problem = punctual((2, 2, 1), "3*c2 + 7*c1^2")
+    ctx = problem.ctx
+    z = [MPoly.var(ctx, n) for n in ctx.residue_vars]
+    diff = permutation_order_product(ctx, (1, 1, 2, 2, 3))
     assert problem.numerator == diff
     roots = twisted_roots(ctx, severi_bundle(), z)
     phi = elementary_symmetric(2, roots).scale(3) + elementary_symmetric(1, roots) ** 2 * 7

@@ -283,6 +283,59 @@ def test_coefficient_of_a_geometry_symbol_multiplies_back(p, slot, e):
     assert back.terms == reference_product(picked, MPoly.const(CAPPED, 1))
 
 
+# -- the product rule -------------------------------------------------------
+
+
+def chain(ctx, factors):
+    """The left-to-right product of factors, one mul each, from 1."""
+    out = MPoly.const(ctx, 1)
+    for f in factors:
+        out = out.mul(f)
+    return out
+
+
+constants = st.integers(-3, 3).map(lambda c: MPoly.const(CTX, c))
+
+
+@given(st.lists(small_polys() | constants, max_size=5))
+@settings(max_examples=120, deadline=None)
+def test_product_is_the_left_to_right_chain(factors):
+    assert MPoly.product(CTX, factors) == chain(CTX, factors)
+
+
+@given(st.lists(capped_polys(), max_size=4))
+@settings(max_examples=80, deadline=None)
+def test_product_is_the_chain_under_a_dim_cap(factors):
+    # a factor built from terms keeps those above the cap until a product
+    # cuts them; the library's factors are products, so they come cut
+    factors = [p.mul(MPoly.const(CAPPED, 1)) for p in factors]
+    assert MPoly.product(CAPPED, factors) == chain(CAPPED, factors)
+
+
+def test_product_edge_cases():
+    p = 1 + V("z1") + V("L")
+    assert MPoly.product(CTX, []) == 1
+    assert MPoly.product(CTX, [p]) == p
+    assert MPoly.product(CTX, [MPoly.const(CTX, Fraction(2, 3)), p]) == p.scale(Fraction(2, 3))
+    assert MPoly.product(CTX, [p, MPoly.zero(CTX), p]).is_zero()
+    assert MPoly.product(CTX, [V("z1", -1), V("z1")]) == 1
+    with pytest.raises(ValueError, match="context mismatch"):
+        MPoly.product(CAPPED, [p])
+
+
+def test_product_holds_its_budget():
+    s = 1 + V("z1") + V("L")  # its square has 6 terms
+    with pytest.raises(TermBudgetExceeded, match="size 6 exceeds budget 5$"):
+        MPoly.product(CTX, [s, s], budget=5)
+    assert len(MPoly.product(CTX, [s, s], budget=6)) == 6
+
+
+@pytest.mark.parametrize("p", [1 + V("z1") + V("L"), V("z1", -1) - V("c2"), MPoly.const(CTX, -2)])
+def test_pow_is_repeated_mul(p):
+    for n in range(6):  # n < 0 raises: test_pow_and_scale
+        assert p.pow(n) == chain(CTX, [p] * n)
+
+
 # -- relabelling into a larger context ----------------------------------------
 
 # two copies of CTX's layout, interleaved, with a cap on the geometry degree
