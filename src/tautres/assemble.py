@@ -50,9 +50,9 @@ prefactors fixed by the classical a_1 and a_2; r >= 3 warns.
 Difference-factor convention: the numerator takes one factor (z_i - z_j)
 for every ordered pair i != j with w(i) <= w(j).  Equal weights thus
 contribute -(z_i - z_j)^2, strictly increasing weights a single factor.
-A block lists them in Vandermonde order, by (-min(i, j), -max(i, j)):
-each prefix is the difference product of the last few variables, so the
-running product of MPoly.product stays small.
+A block lists them in Vandermonde order, by (-min(i, j), -max(i, j)),
+in one row per min(i, j): each prefix is the difference product of the
+last few variables, so the running product of MPoly.product stays small.
 
 A TermBudgetExceeded raised while a builder assembles its problems
 says so in its message.
@@ -208,11 +208,12 @@ def _whitney(total: list, block: list, d: int) -> list:
 # -- shared factor builders ----------------------------------------------
 
 
-def _difference_factors(ctx: VariableContext, names, weights) -> tuple:
-    """(z_i - z_j) over ordered pairs i != j with w(i) <= w(j), in Vandermonde order."""
+def _difference_rows(ctx: VariableContext, names, weights) -> tuple:
+    """(z_i - z_j) over ordered pairs i != j with w(i) <= w(j), in Vandermonde order, by rows."""
     z = [MPoly.var(ctx, n) for n in names]
     pairs = [(i, j) for i, j in itertools.permutations(range(len(z)), 2) if weights[i] <= weights[j]]
-    return tuple(z[i] - z[j] for i, j in sorted(pairs, key=lambda ij: (-min(ij), -max(ij))))
+    pairs.sort(key=lambda ij: (-min(ij), -max(ij)))
+    return tuple(tuple(z[i] - z[j] for i, j in row) for _, row in itertools.groupby(pairs, key=min))
 
 
 def _pair_sums(weights) -> tuple:
@@ -322,7 +323,7 @@ class _BlockPieces(Record):
 
     ctx: the block's residue variables and one unsuffixed copy of the
         bundle and surface symbols.
-    differences: the difference factors, in Vandermonde order.
+    differences: the difference factors in Vandermonde order, by rows.
     epd: the block epd, or None for 1; it follows phi among the factors.
     pair_sums: index triples of the pair-sum denominators.
     laurents: the Laurent monomial, when not 1, then one Segre factor
@@ -351,7 +352,7 @@ def _block_pieces(block_data, bundle, surface, d: int, whole: bool) -> _BlockPie
     names, weights, epd_text, (exps, coef) = block_data
     geometry = tuple((r, 1) for r in bundle.roots) + tuple(surface.chern_symbols)
     ctx = VariableContext(names, geometry, surface.dim if whole else None)
-    differences = _difference_factors(ctx, names, weights)
+    differences = _difference_rows(ctx, names, weights)
     epd = None
     if epd_text is not None:
         epd = _check_epd(parse_poly(ctx, epd_text), "epd %r" % epd_text)
@@ -521,7 +522,8 @@ def _partition_problem(pieces, key, phi_terms, d: int, dim: int, source=None) ->
     laurents = [place(f, slots) for p, slots in placed for f in p.laurents]
     relabel_of = None
     if source is None:
-        num = MPoly.product(ctx, [place(f, slots) for p, slots in placed for f in p.differences])
+        diffs = [place(f, slots) for p, slots in placed for row in p.differences for f in row]
+        num = MPoly.product(ctx, diffs)
         chern = reduce(
             lambda total, block: _whitney(total, block, d),
             [[place(c, slots) for c in p.chern] for p, slots in placed],
@@ -640,9 +642,12 @@ def assemble_severi(r: int, epd: str | None = None, prefactor=None) -> ResiduePr
     same pair-sum forms.  The small boxes x..x^(r-1) carry the collision
     dual in the Laurent monomial.  The published numerator takes the
     difference product in the refined order (x^a, then x^b*y), so the sign
-    of the reordering is folded into the epd.  The problem comes folded:
-    its numerator, the whole template, is one product of phi, the epd and
-    the pair factors, and its factors are the Laurent ones.
+    of the reordering is folded into the epd.  The problem comes folded,
+    built here rather than by fold_factors, which would multiply phi into
+    the whole 40,320-term (r = 3) difference product: its numerator is one
+    product of phi, the epd and each row of pair factors multiplied out,
+    which at r <= 3 never outgrows the template; its factors are the
+    Laurent ones.
     r = 1 and r = 2 carry the prefactors of SEVERI_PREFACTOR; r >= 3
     warns, since no published value pins its epd and prefactor.  A
     product that outgrows the term budget raises TermBudgetExceeded with
@@ -673,7 +678,8 @@ def assemble_severi(r: int, epd: str | None = None, prefactor=None) -> ResiduePr
         pieces = _block_pieces(data, severi_bundle(), surface, 2 * r, whole=True)
         ctx = pieces.ctx
         phi = _apply_phi(ctx, normalize_phi(2 * r), pieces.chern)
-        template = MPoly.product(ctx, [phi, pieces.epd, *pieces.differences])
+        rows = [MPoly.product(ctx, row) for row in pieces.differences]
+        template = MPoly.product(ctx, [phi, pieces.epd, *rows])
     except TermBudgetExceeded as exc:
         raise TermBudgetExceeded("%s while assembling the problem" % exc) from None
 

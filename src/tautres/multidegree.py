@@ -18,7 +18,6 @@ import itertools
 from functools import reduce
 from operator import mul
 
-from .poly import MPoly
 from .record import Record
 
 
@@ -120,9 +119,7 @@ def multidegree(ideal: MonomialIdeal):
         count = _standard_monomial_count(restricted, c)
         if count is None:
             continue  # positive-dimensional localization: P_S not minimal
-        weights = [ideal.weights[i] for i in subset]
-        polys = all(isinstance(w, MPoly) for w in weights)
-        term = (MPoly.product(weights[0].ctx, weights) if polys else reduce(mul, weights)) * count
+        term = reduce(mul, [ideal.weights[i] for i in subset]) * count
         total = term if total is None else total + term
     if total is None:
         raise AssertionError("no minimal primes found for a proper ideal")

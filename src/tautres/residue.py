@@ -22,15 +22,14 @@ or Laurent (phi, epds, Segre series, inverse monomials).  Each factor
 joins the step of its outermost variable, the largest contour index
 with a nonzero exponent in it; the numerator and the factors in
 geometry symbols only are one MPoly.product before the first step.  At
-the step for t the factors and the expansions, fewest terms first, are
-multiplied into the numerator one at a time, each product cut to the
-t-exponents from which the factors after it in that order can still
-reach t^{-1}, so any order is exact.  Deferring a factor is exact: it
-does not contain the variables eliminated before its step, so it
-commutes with taking their coefficients, and the ``dim_cap`` truncation
-of products is a quotient by an ideal, so the order of the products
-does not change the result.  For the same reason fold_factors, which
-multiplies the polynomial factors out up front, keeps the residue.
+the step for t the factors, then the expansions, are multiplied into
+the numerator one at a time, each product cut to the t-exponents from
+which the factors still to come can reach t^{-1}.  Deferring a factor is
+exact: it does not contain the variables eliminated before its step, so
+it commutes with taking their coefficients, and the ``dim_cap``
+truncation of products is a quotient by an ideal, so the order of the
+products does not change the result.  For the same reason fold_factors,
+which multiplies the polynomial factors out up front, keeps the residue.
 
 Vanishing by degree.  Each expansion of a form led by t has t-exponents
 at most minus its multiplicity, so after a step's products no term has
@@ -201,7 +200,6 @@ def iterated_residue(problem: ResidueProblem, term_budget: int | None = None) ->
             cutoff = -1 - d_max + (total_mult - f.multiplicity)
             expansion = expand_inverse_at_infinity(f, cutoff, budget=term_budget)
             factors.append((expansion.poly, cutoff, -f.multiplicity))
-        factors.sort(key=lambda entry: len(entry[0]))
         # window pruning: after factor j, the factors still to come
         # contribute exponents in [sum of their lows, sum of their highs]
         for j, (factor, _, _) in enumerate(factors):

@@ -16,7 +16,7 @@ import pytest
 
 from tautres.assemble import (
     AlgebraSpec,
-    _difference_factors,
+    _difference_rows,
     assemble_ghilb,
     assemble_punctual,
     evaluate,
@@ -119,13 +119,16 @@ def test_vandermonde_order_gives_the_severi_difference_products(r):
     names = tuple("z%d%d" % box for box in boxes)
     weights = [3 * a + 5 * b for a, b in boxes]
     ctx = VariableContext(names, (("L", 1), ("c1", 1), ("c2", 2)), 2)
-    factors = _difference_factors(ctx, names, weights)
-    # each prefix is the whole difference product of the last few variables
+    rows = _difference_rows(ctx, names, weights)
+    # row m holds the pairs of variable k-2-m with the later ones, so each
+    # prefix is the whole difference product of the last few variables
     k = len(names)
-    for n in range(2, k + 1):
-        trailing = set(range(k - n, k))
-        for f in factors[: n * (n - 1) // 2]:
-            assert {i for i in range(k) if f.max_exponent(i)} <= trailing
+    assert [len(row) for row in rows] == list(range(1, k))
+    for m, row in enumerate(rows):
+        for f in row:
+            assert {i for i in range(k) if f.max_exponent(i)} <= set(range(k - 2 - m, k))
+            assert f.max_exponent(k - 2 - m)
+    factors = [f for row in rows for f in row]
     assert MPoly.product(ctx, factors) == permutation_order_product(ctx, weights)
 
 
