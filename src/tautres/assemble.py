@@ -154,26 +154,23 @@ _CHERN_SYM = re.compile(r"\bc(\d+)\b")
 def normalize_phi(phi):
     """Normalize a Chern polynomial spec to ((coef, {m: power}), ...).
 
-    Accepts None (constant 1), an integer m (the class c_m), a {m: power}
-    monomial, canonical text in symbols c1, c2, ..., or an explicit
-    term sequence.
+    Accepts None (constant 1), a class index m >= 0 (the class c_m), or
+    canonical text in symbols c1, c2, ... with nonnegative powers.
     """
     if phi is None:
         return ((Fraction(1), {}),)
     if isinstance(phi, int):
+        if phi < 0:
+            raise ValueError("phi names the class c_%d; a class index is >= 0" % phi)
         return ((Fraction(1), {phi: 1}),)
-    if isinstance(phi, dict):
-        return ((Fraction(1), dict(phi)),)
-    if isinstance(phi, str):
-        ms = sorted({int(m) for m in _CHERN_SYM.findall(phi)})
-        ctx = VariableContext(geometry=tuple(("c%d" % m, 1) for m in ms))
-        p = parse_poly(ctx, phi)
-        out = []
-        for key, coef in p.terms.items():
-            powers = {ms[i]: e for i, e in enumerate(key) if e}
-            out.append((coef, powers))
-        return tuple(out) if out else ((Fraction(0), {}),)
-    return tuple((Fraction(c), dict(powers)) for c, powers in phi)
+    ms = sorted({int(m) for m in _CHERN_SYM.findall(phi)})
+    ctx = VariableContext(geometry=tuple(("c%d" % m, 1) for m in ms))
+    out = []
+    for key, coef in parse_poly(ctx, phi).terms.items():
+        if min(key, default=0) < 0:
+            raise ValueError("phi %r has a negative power; it must be a polynomial" % phi)
+        out.append((coef, {ms[i]: e for i, e in enumerate(key) if e}))
+    return tuple(out) if out else ((Fraction(0), {}),)
 
 
 def _apply_phi(ctx: VariableContext, phi_terms, chern) -> MPoly:
@@ -481,10 +478,7 @@ def _partition_problem(pieces, key, phi_terms, d: int, dim: int, source=None) ->
     enter as built.  Otherwise block l gets its block-local residue names
     prefixed b<l> (b2z1, ...) and the geometry copy suffixed _<l>, laid
     out by _joint_slots; the joint dim_cap is dim times the block count,
-    and MPoly.relabel places each piece by that slot map.  The numerator
-    is one product of the blocks' difference factors; the factors are
-    phi at the Whitney sum of the blocks' Chern classes, then the blocks'
-    epds, then their Laurent factors.
+    and _block_problem places each piece by that slot map.
 
     source, when given, is (key, problem) of an earlier order of the same
     blocks.  Forms, epds and Laurent factors are still placed from the
@@ -512,24 +506,8 @@ def _partition_problem(pieces, key, phi_terms, d: int, dim: int, source=None) ->
         ]
         ctx = VariableContext(sum(names, ()), sum(copies, ()), dim * t)
         slot_maps = _joint_slots(blocks)
-
-    def place(piece, slots):
-        return piece if t == 1 else piece.relabel(ctx, slots)
-
-    placed = list(zip(blocks, slot_maps))
-    forms = [f for p, slots in placed for f in _pair_sum_forms(ctx, slots, p.pair_sums)]
-    epds = [place(p.epd, slots) for p, slots in placed if p.epd is not None]
-    laurents = [place(f, slots) for p, slots in placed for f in p.laurents]
     relabel_of = None
-    if source is None:
-        diffs = [place(f, slots) for p, slots in placed for row in p.differences for f in row]
-        num = MPoly.product(ctx, diffs)
-        chern = reduce(
-            lambda total, block: _whitney(total, block, d),
-            [[place(c, slots) for c in p.chern] for p, slots in placed],
-        )
-        phi = _apply_phi(ctx, phi_terms, chern)
-    else:
+    if source is not None:
         source_key, source_problem = source
         source_maps = _joint_slots([pieces[i] for i in source_key])
         slots = [None] * ctx.nvars
@@ -537,15 +515,51 @@ def _partition_problem(pieces, key, phi_terms, d: int, dim: int, source=None) ->
         for a, b in zip(*(sorted(range(t), key=k.__getitem__) for k in (source_key, key))):
             for x, y in zip(source_maps[a], slot_maps[b]):
                 slots[x] = y
-        num = source_problem.numerator.relabel(ctx, slots)
-        phi = source_problem.factors[0].relabel(ctx, slots)
         relabel_of = (source_problem, tuple(slots))
+    return _block_problem(ctx, list(zip(blocks, slot_maps)), phi_terms, d, relabel_of)
+
+
+def _block_problem(ctx, placed, phi_terms, d: int, relabel_of=None, fold=False) -> ResidueProblem:
+    """The problem of blocks placed in ctx, each as (pieces, slot map).
+
+    A piece already in ctx (a one-block problem) enters as built, any
+    other is placed by MPoly.relabel.  The forms are the blocks' pair
+    sums.  The numerator is one product of the blocks' difference
+    factors; the factors are phi at the Whitney sum of the blocks' Chern
+    classes, then the blocks' epds, then their Laurent factors.
+
+    relabel_of, (source, slots), takes the numerator and phi as the
+    source's relabelled instead.  fold makes the numerator one product of
+    phi, the epds and each row of difference factors multiplied out,
+    leaving only the Laurent factors: phi is never multiplied into the
+    whole difference product, which can be many times its size.
+    """
+
+    def place(piece, slots):
+        return piece if piece.ctx is ctx else piece.relabel(ctx, slots)
+
+    forms = [f for p, slots in placed for f in _pair_sum_forms(ctx, slots, p.pair_sums)]
+    epds = [place(p.epd, slots) for p, slots in placed if p.epd is not None]
+    laurents = [place(f, slots) for p, slots in placed for f in p.laurents]
+    if relabel_of is not None:
+        source, slots = relabel_of
+        num = source.numerator.relabel(ctx, slots)
+        factors = (source.factors[0].relabel(ctx, slots), *epds, *laurents)
+    else:
+        chern = reduce(
+            lambda total, block: _whitney(total, block, d),
+            [[place(c, slots) for c in p.chern] for p, slots in placed],
+        )
+        phi = _apply_phi(ctx, phi_terms, chern)
+        rows = [[place(f, slots) for f in row] for p, slots in placed for row in p.differences]
+        if fold:
+            num = MPoly.product(ctx, [phi, *epds, *(MPoly.product(ctx, row) for row in rows)])
+            factors = tuple(laurents)
+        else:
+            num = MPoly.product(ctx, [f for row in rows for f in row])
+            factors = (phi, *epds, *laurents)
     return ResidueProblem(
-        ctx=ctx,
-        numerator=num,
-        denominator=tuple(forms),
-        factors=(phi, *epds, *laurents),
-        relabel_of=relabel_of,
+        ctx=ctx, numerator=num, denominator=tuple(forms), factors=factors, relabel_of=relabel_of
     )
 
 
@@ -642,12 +656,12 @@ def assemble_severi(r: int, epd: str | None = None, prefactor=None) -> ResiduePr
     same pair-sum forms.  The small boxes x..x^(r-1) carry the collision
     dual in the Laurent monomial.  The published numerator takes the
     difference product in the refined order (x^a, then x^b*y), so the sign
-    of the reordering is folded into the epd.  The problem comes folded,
-    built here rather than by fold_factors, which would multiply phi into
-    the whole 40,320-term (r = 3) difference product: its numerator is one
-    product of phi, the epd and each row of pair factors multiplied out,
-    which at r <= 3 never outgrows the template; its factors are the
-    Laurent ones.
+    of the reordering is folded into the epd.  The problem comes folded by
+    _block_problem rather than by fold_factors, which would multiply phi
+    into the whole 40,320-term (r = 3) difference product: its numerator
+    is one product of phi, the epd and each row of pair factors
+    multiplied out, which at r <= 3 never outgrows the template; its
+    factors are the Laurent ones.
     r = 1 and r = 2 carry the prefactors of SEVERI_PREFACTOR; r >= 3
     warns, since no published value pins its epd and prefactor.  A
     product that outgrows the term budget raises TermBudgetExceeded with
@@ -676,10 +690,8 @@ def assemble_severi(r: int, epd: str | None = None, prefactor=None) -> ResiduePr
     data = (names, weights, epd_text, (laurent, Fraction(1)))
     try:
         pieces = _block_pieces(data, severi_bundle(), surface, 2 * r, whole=True)
-        ctx = pieces.ctx
-        phi = _apply_phi(ctx, normalize_phi(2 * r), pieces.chern)
-        rows = [MPoly.product(ctx, row) for row in pieces.differences]
-        template = MPoly.product(ctx, [phi, pieces.epd, *rows])
+        placed = [(pieces, range(pieces.ctx.nvars))]
+        problem = _block_problem(pieces.ctx, placed, normalize_phi(2 * r), 2 * r, fold=True)
     except TermBudgetExceeded as exc:
         raise TermBudgetExceeded("%s while assembling the problem" % exc) from None
 
@@ -692,19 +704,15 @@ def assemble_severi(r: int, epd: str | None = None, prefactor=None) -> ResiduePr
             stacklevel=2,
         )
         pref = Fraction(prefactor) if prefactor is not None else Fraction(1)
-    forms = _pair_sum_forms(ctx, range(ctx.k), pieces.pair_sums)
-    return ResidueProblem(ctx, template, tuple(forms), pieces.laurents, pref)
+    return replace(problem, prefactor=pref)
 
 
 # -- evaluation ------------------------------------------------------------
 
 
-def evaluate(
-    problem: ResidueProblem, surface: SurfaceModel, term_budget: int | None = None
-) -> TopDegreeSelection:
+def evaluate(problem: ResidueProblem, surface: SurfaceModel) -> TopDegreeSelection:
     """iterated_residue followed by top-degree selection over the surface basis."""
-    res = iterated_residue(problem, term_budget=term_budget)
-    return select_top_degree(res, surface)
+    return select_top_degree(iterated_residue(problem), surface)
 
 
 def severi_coefficient(r: int):

@@ -123,8 +123,8 @@ class TopDegreeSelection(Record):
         return format_poly(total)
 
 
-def select_top_degree(p: MPoly, surface: SurfaceModel, basis=SURFACE_BASIS) -> TopDegreeSelection:
-    """Split off the degree-dim part of p over the given monomial basis.
+def select_top_degree(p: MPoly, surface: SurfaceModel) -> TopDegreeSelection:
+    """Split off the degree-dim part of p over SURFACE_BASIS.
 
     Terms of other degrees land in the remainder (reported, never
     silently dropped).  A degree-dim term outside the basis raises.
@@ -134,15 +134,10 @@ def select_top_degree(p: MPoly, surface: SurfaceModel, basis=SURFACE_BASIS) -> T
         if p.max_exponent(i) or p.min_exponent(i):
             raise ValueError("residue variable %s still present" % ctx.names[i])
     basis_keys = {}
-    for mono in basis:
-        bp = parse_poly(ctx, mono)
-        if len(bp.terms) != 1:
-            raise ValueError("basis entry %r is not a monomial" % mono)
-        (key, coef), = bp.terms.items()
-        if coef != 1:
-            raise ValueError("basis entry %r has a coefficient" % mono)
+    for mono in SURFACE_BASIS:
+        (key,) = parse_poly(ctx, mono).terms
         basis_keys[key] = mono
-    coeffs = {mono: Fraction(0) for mono in basis}
+    coeffs = {mono: Fraction(0) for mono in SURFACE_BASIS}
     rem = MPoly.zero(ctx)
     n = surface.dim
     for key, coef in p.terms.items():
@@ -153,7 +148,7 @@ def select_top_degree(p: MPoly, surface: SurfaceModel, basis=SURFACE_BASIS) -> T
         if mono is None:
             raise ValueError(
                 "degree-%d term %s not expressible in basis %r"
-                % (n, format_poly(MPoly(ctx, {key: coef})), list(basis))
+                % (n, format_poly(MPoly(ctx, {key: coef})), list(SURFACE_BASIS))
             )
         coeffs[mono] += coef
     return TopDegreeSelection(coeffs, rem)

@@ -126,7 +126,13 @@ def _cmd_ghilb(args) -> int:
         if ":" not in spec:
             raise ConfigError("--q wants M:TEXT, got %r" % spec)
         m, text = spec.split(":", 1)
-        q_polys[int(m)] = text.strip()
+        try:
+            m = int(m)
+        except ValueError:
+            raise ConfigError("--q wants an integer M in M:TEXT, got %r" % spec) from None
+        if m in q_polys:
+            raise ConfigError("--q gives Q_%d twice" % m)
+        q_polys[m] = text.strip()
     terms = assemble_ghilb(
         args.k, severi_bundle(), generic_surface(), args.phi, q_polys
     )

@@ -37,11 +37,11 @@ on first use and cached.  No floats enter anywhere in this module.
 
 Term budget.  Every product of two polynomials runs through
 ``MPoly.mul``, which refuses, with TermBudgetExceeded, a product that
-grows past its budget; a caller that gives none gets
-DEFAULT_TERM_BUDGET, read at call time.  There is no unbudgeted
-product, so ``*``, ``pow`` and every helper built on them hold the
-budget without passing one along.  Callers catch the error where they
-can name the layer it was raised in.
+grows past DEFAULT_TERM_BUDGET terms, read at call time; to bound work,
+set ``tautres.poly.DEFAULT_TERM_BUDGET``.  There is no other budget and
+no unbudgeted product, so ``*``, ``pow`` and every helper built on them
+hold it.  Callers catch the error where they can name the layer it was
+raised in.
 
 Product rule.  Every product of a list of factors is ``MPoly.product``:
 it starts from the factor with the most terms and multiplies the others
@@ -137,9 +137,6 @@ class VariableContext(Record):
             return self.names.index(name)
         except ValueError:
             raise KeyError("unknown variable %r" % name) from None
-
-    def zero_key(self) -> Key:
-        return (0,) * self.nvars
 
     def geometry_degree(self, key: Key) -> int:
         return sum(e * d for e, d in zip(key, self.degrees) if e)
@@ -290,20 +287,18 @@ class MPoly:
 
     __rmul__ = __mul__
 
-    def mul(self, other: "MPoly", window: tuple | None = None, budget: int | None = None) -> "MPoly":
+    def mul(self, other: "MPoly", window: tuple | None = None) -> "MPoly":
         """The product kernel: self * other, optionally windowed, always budgeted.
 
         window = (i, lo, hi) keeps only the terms whose exponent of
         variable i lies in [lo, hi].  The right operand is sorted once by
         that exponent, so each left term visits only the slice of it that
-        can land in the window.  budget caps the number of terms of the
-        growing product, DEFAULT_TERM_BUDGET when None; it is checked
-        after each left term, and TermBudgetExceeded names the windowed
-        variable.
+        can land in the window.  DEFAULT_TERM_BUDGET caps the number of
+        terms of the growing product; it is checked after each left term,
+        and TermBudgetExceeded names the windowed variable.
         """
         self._check(other)
-        if budget is None:
-            budget = DEFAULT_TERM_BUDGET
+        budget = DEFAULT_TERM_BUDGET
         ctx = self.ctx
         limit, bias = ctx._cap_limit, ctx._zero
         right = list(other._t.items())
@@ -348,8 +343,8 @@ class MPoly:
         return _reduced(self.ctx, {k: c * a for k, c in self._t.items()}, self._den * value.denominator)
 
     @staticmethod
-    def product(ctx: VariableContext, factors, budget: int | None = None) -> "MPoly":
-        """The factors' product by the product rule (module docstring), each mul under budget."""
+    def product(ctx: VariableContext, factors) -> "MPoly":
+        """The factors' product by the product rule (module docstring)."""
         factors = list(factors)
         if any(f.ctx != ctx for f in factors):
             raise ValueError("context mismatch")
@@ -357,7 +352,7 @@ class MPoly:
             return MPoly.const(ctx, 1)
         out = factors.pop(max(range(len(factors)), key=lambda i: len(factors[i]._t)))
         for f in factors:
-            out = out.scale(f.constant_value()) if f.is_constant() else out.mul(f, budget=budget)
+            out = out.scale(f.constant_value()) if f.is_constant() else out.mul(f)
         return out
 
     def pow(self, n: int) -> "MPoly":
@@ -438,32 +433,6 @@ class MPoly:
         delta = exp * ctx._units[i]
         terms = {k - delta: c for k, c in self._t.items() if (k >> s) & _MASK == want}
         return _reduced(ctx, terms, self._den)
-
-    def subs_num(self, assignment: Mapping) -> "MPoly":
-        """Substitute rational values for a subset of variables."""
-        idx_val = {self.ctx.index(n): Fraction(v) for n, v in assignment.items()}
-        terms: dict = {}
-        for key, coef in self.terms.items():
-            c = coef
-            nk = list(key)
-            ok = True
-            for i, v in idx_val.items():
-                e = key[i]
-                if e:
-                    if v == 0 and e < 0:
-                        ok = False
-                        break
-                    c = c * v ** e
-                    nk[i] = 0
-            if not ok:
-                raise ZeroDivisionError("substituting 0 into a negative power")
-            key2 = tuple(nk)
-            terms[key2] = terms.get(key2, 0) + c
-        return MPoly(self.ctx, terms)
-
-    def eval_at(self, assignment: Mapping) -> Fraction:
-        out = self.subs_num(assignment)
-        return out.constant_value()
 
     def __repr__(self):
         return format_poly(self)
@@ -658,9 +627,6 @@ class LinearForm(Record):
             if a:
                 p = p + MPoly.var(self.ctx, self.ctx.names[i]).scale(a)
         return p
-
-    def with_multiplicity(self, m: int) -> "LinearForm":
-        return LinearForm(self.ctx, self.z_coeffs, self.const_part, m)
 
     def key(self):
         """Hashable identity of the form itself, ignoring multiplicity."""

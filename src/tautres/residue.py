@@ -46,8 +46,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-# DEFAULT_TERM_BUDGET is re-exported; MPoly.mul reads it from poly
-from .poly import DEFAULT_TERM_BUDGET, LinearForm, MPoly, TermBudgetExceeded, VariableContext
+from .poly import LinearForm, MPoly, TermBudgetExceeded, VariableContext
 from .record import Record, replace
 
 
@@ -63,14 +62,12 @@ class Expansion(Record):
     floor: int
 
 
-def expand_inverse_at_infinity(
-    form: LinearForm, lower_cutoff: int, budget: int | None = None
-) -> Expansion:
+def expand_inverse_at_infinity(form: LinearForm, lower_cutoff: int) -> Expansion:
     """Expand 1/form^mult at infinity in the form's leading variable.
 
-    Keeps exponents >= lower_cutoff.  budget is passed to MPoly.mul, and
-    TermBudgetExceeded names t, the variable whose elimination step the
-    expansion belongs to.  With form = a*t + r
+    Keeps exponents >= lower_cutoff.  A product past the term budget
+    raises TermBudgetExceeded naming t, the variable whose elimination
+    step the expansion belongs to.  With form = a*t + r
     (t leading, r the smaller-variable rest):
 
         1/(a t + r)^m = sum_j C(m+j-1, j) (-r)^j a^(-m-j) t^(-m-j)
@@ -91,10 +88,10 @@ def expand_inverse_at_infinity(
             if j % 2:
                 coef = -coef
             t_pow = MPoly.var(ctx, ctx.names[i], -m - j).scale(coef)
-            out = out + t_pow.mul(rest_pow, budget=budget)
+            out = out + t_pow.mul(rest_pow)
             j += 1
             if -m - j >= lower_cutoff:
-                rest_pow = rest_pow.mul(rest, budget=budget)
+                rest_pow = rest_pow.mul(rest)
                 if rest_pow.is_zero():
                     break
     except TermBudgetExceeded as exc:
@@ -175,17 +172,17 @@ def fold_factors(problem: ResidueProblem, source: ResidueProblem | None = None) 
     return replace(problem, numerator=num, factors=tuple(laurents))
 
 
-def iterated_residue(problem: ResidueProblem, term_budget: int | None = None) -> MPoly:
+def iterated_residue(problem: ResidueProblem) -> MPoly:
     """Evaluate the iterated residue; result involves geometry symbols only.
 
-    term_budget is passed to every product (None: the kernel's default).
-    Raises TermBudgetExceeded rather than degrading precision.
+    Every product holds the kernel's term budget: past it, this raises
+    TermBudgetExceeded rather than degrading precision.
     """
     ctx = problem.ctx
     deferred: dict = {None: [problem.numerator]}
     for p in problem.factors:
         deferred.setdefault(_outermost_variable(p), []).append(p)
-    num = MPoly.product(ctx, deferred[None], term_budget)
+    num = MPoly.product(ctx, deferred[None])
     remaining = list(problem.denominator)
     for i in range(ctx.k - 1, -1, -1):
         led = [f for f in remaining if f.leading_index() == i]
@@ -198,14 +195,14 @@ def iterated_residue(problem: ResidueProblem, term_budget: int | None = None) ->
             return MPoly.zero(ctx)  # no term reaches t^-1 (module docstring)
         for f in led:
             cutoff = -1 - d_max + (total_mult - f.multiplicity)
-            expansion = expand_inverse_at_infinity(f, cutoff, budget=term_budget)
+            expansion = expand_inverse_at_infinity(f, cutoff)
             factors.append((expansion.poly, cutoff, -f.multiplicity))
         # window pruning: after factor j, the factors still to come
         # contribute exponents in [sum of their lows, sum of their highs]
         for j, (factor, _, _) in enumerate(factors):
             lo_rest = sum(low for _, low, _ in factors[j + 1 :])
             hi_rest = sum(top for _, _, top in factors[j + 1 :])
-            num = num.mul(factor, window=(i, -1 - hi_rest, -1 - lo_rest), budget=term_budget)
+            num = num.mul(factor, window=(i, -1 - hi_rest, -1 - lo_rest))
         num = num.coefficient_of(i, -1)
     for i in range(ctx.k):
         if num.max_exponent(i) or num.min_exponent(i):

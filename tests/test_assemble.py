@@ -88,14 +88,25 @@ def test_algebra_validation():
 def test_normalize_phi_shapes():
     assert normalize_phi(None) == ((Fraction(1), {}),)
     assert normalize_phi(2) == ((Fraction(1), {2: 1}),)
-    assert normalize_phi({2: 3}) == ((Fraction(1), {2: 3}),)
     got = set(
         (coef, tuple(sorted(powers.items())))
         for coef, powers in normalize_phi("c2^2 - 3*c1")
     )
     assert got == {(Fraction(1), ((2, 2),)), (Fraction(-3), ((1, 1),))}
-    explicit = normalize_phi([(2, {1: 1}), ("1/2", {})])
-    assert explicit == ((Fraction(2), {1: 1}), (Fraction(1, 2), {}))
+
+
+def test_phi_with_a_negative_class_or_power_is_refused():
+    # c_{-1} is no class, and c1^-2 no polynomial: neither may reach the
+    # builder, which would repeat a class range(-2) times or index chern[-1]
+    def value(phi):
+        return evaluate(assemble_punctual(AlgebraSpec(3, (2,)), severi_bundle(), SURFACE, phi), SURFACE)
+
+    with pytest.raises(ValueError, match="class index is >= 0"):
+        value(-1)
+    for phi in ("c1^-2*c2", "c1^-1", "c2 + c1^-1*c3"):
+        with pytest.raises(ValueError, match="negative power"):
+            value(phi)
+    assert value(0) == value(None)  # c_0 = 1 is a class
 
 
 # -- punctual builder -------------------------------------------------------------
@@ -352,9 +363,9 @@ def test_assembly_moves_and_multiplies_no_zero_polynomial(monkeypatch):
         calls["relabel"].append(self.is_zero())
         return relabel(self, ctx, slots)
 
-    def mul_spy(self, other, window=None, budget=None):
+    def mul_spy(self, other, window=None):
         calls["mul"].append(self.is_zero() or other.is_zero())
-        return mul(self, other, window=window, budget=budget)
+        return mul(self, other, window=window)
 
     monkeypatch.setattr(MPoly, "relabel", relabel_spy)
     monkeypatch.setattr(MPoly, "mul", mul_spy)
@@ -531,21 +542,31 @@ def test_block_pieces_match_the_joint_route_on_a_mixed_spec():
 
 
 def test_every_assembly_and_elimination_product_is_budgeted(monkeypatch):
-    budgets = []
+    # MPoly.mul takes no budget: every product holds the kernel's, so a
+    # budget one below the largest product seen refuses the same work
+    builds = [
+        lambda: [prob for _, prob in assemble_ghilb(4, severi_bundle(), SURFACE, "c1^3*c2 + c3^2")],
+        lambda: [assemble_punctual(AlgebraSpec(6, (2, 2, 1)), severi_bundle(), SURFACE, "c2")],
+        lambda: [assemble_severi(2)],
+    ]
+    sizes = []
     mul = MPoly.mul
 
-    def spy(self, other, window=None, budget=None):
-        budgets.append(budget)
-        return mul(self, other, window=window, budget=budget)
+    def spy(self, other, window=None):
+        out = mul(self, other, window=window)
+        sizes.append(len(out))
+        return out
 
     monkeypatch.setattr(MPoly, "mul", spy)
-    problems = [prob for _, prob in assemble_ghilb(4, severi_bundle(), SURFACE, "c1^3*c2 + c3^2")]
-    problems.append(assemble_punctual(AlgebraSpec(6, (2, 2, 1)), severi_bundle(), SURFACE, "c2"))
-    problems.append(assemble_severi(2))
-    for prob in problems:
-        iterated_residue(prob)
-    # none sets its own budget, so MPoly.mul holds each to the kernel's
-    assert budgets and set(budgets) == {None}
+    for build in builds:
+        sizes.clear()
+        for prob in build():
+            iterated_residue(prob)
+        with monkeypatch.context() as budget:
+            budget.setattr("tautres.poly.DEFAULT_TERM_BUDGET", max(sizes) - 1)
+            with pytest.raises(TermBudgetExceeded):
+                for prob in build():
+                    iterated_residue(prob)
 
 
 @pytest.mark.parametrize(

@@ -124,23 +124,19 @@ def test_select_top_degree_reports_remainder():
 
 
 def test_select_top_degree_rejects_off_basis_top_term():
-    p = parse_poly(CTX, "L*c1")
-    with pytest.raises(ValueError, match="not expressible"):
-        select_top_degree(p, generic_surface(), basis=("L^2", "c2"))
+    # a custom surface with a degree-2 class e beside c2, which the basis lacks
+    ctx = VariableContext(geometry=(("L", 1), ("c1", 1), ("c2", 2), ("e", 2)))
+    surface = SurfaceModel("custom", 2, (("c1", 1), ("c2", 2), ("e", 2)), ("c1", "e"))
+    sel = select_top_degree(parse_poly(ctx, "L^2 + 3*c2 + L"), surface)
+    assert sel.coefficients["c2"] == 3 and format_poly(sel.remainder) == "L"
+    with pytest.raises(ValueError, match="degree-2 term -e not expressible"):
+        select_top_degree(parse_poly(ctx, "L*c1 - e"), surface)
 
 
 def test_select_top_degree_rejects_residue_variables():
     p = MPoly.var(CTX, "z1") * MPoly.var(CTX, "L")
     with pytest.raises(ValueError, match="still present"):
         select_top_degree(p, generic_surface())
-
-
-def test_select_top_degree_rejects_non_monomial_basis():
-    p = parse_poly(CTX, "c2")
-    with pytest.raises(ValueError, match="not a monomial"):
-        select_top_degree(p, generic_surface(), basis=("L^2 + c2",))
-    with pytest.raises(ValueError, match="has a coefficient"):
-        select_top_degree(p, generic_surface(), basis=("2*c2",))
 
 
 # -- pairing ---------------------------------------------------------------------

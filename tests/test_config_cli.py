@@ -160,17 +160,22 @@ def test_build_problem_rejects_bad_lines():
 
 @pytest.mark.parametrize("name", ["one_node.cfg", "two_node.cfg"])
 def test_every_config_product_is_budgeted(monkeypatch, name):
-    budgets = []
+    # MPoly.mul takes no budget: every product holds the kernel's, so a
+    # budget one below the largest product seen refuses the same build
+    sizes = []
     mul = MPoly.mul
 
-    def spy(self, other, window=None, budget=None):
-        budgets.append(budget)
-        return mul(self, other, window=window, budget=budget)
+    def spy(self, other, window=None):
+        out = mul(self, other, window=window)
+        sizes.append(len(out))
+        return out
 
     monkeypatch.setattr(MPoly, "mul", spy)
-    build_problem(load_config(CONFIGS / name))
-    # none sets its own budget, so MPoly.mul holds each to the kernel's
-    assert budgets and set(budgets) == {None}
+    cfg = load_config(CONFIGS / name)
+    build_problem(cfg)
+    monkeypatch.setattr("tautres.poly.DEFAULT_TERM_BUDGET", max(sizes) - 1)
+    with pytest.raises(TermBudgetExceeded):
+        build_problem(cfg)
 
 
 def test_config_numerator_over_budget_names_its_line(monkeypatch):
@@ -549,6 +554,24 @@ def test_cli_error_exits(tmp_path, capsys, monkeypatch):
         cli.main(["ghilb", "--k", "3", "--q", "0:z1"])
     assert exc.value.code == 2
     assert "m >= 1" in capsys.readouterr().err
+
+    # a Q_m given twice, or an M that is no integer, names --q
+    for argv, message in (
+        (["ghilb", "--k", "3", "--q", "2:z1", "--q", "2:z2"], "--q gives Q_2 twice"),
+        (["ghilb", "--k", "3", "--q", "x:z1"], "--q wants an integer M in M:TEXT, got 'x:z1'"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "error: %s\n" % message in capsys.readouterr().err
+
+    # a negative power of a class is no polynomial, not a power dropped
+    for phi in ("c1^-2*c2", "c1^-1"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["ghilb", "--k", "2", "--phi", phi, "--evaluate"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "negative power" in captured.err
 
     # empty Q_m or epd text is an error, not the absent default
     for argv in (
