@@ -9,8 +9,8 @@ copy of the geometry symbols.  Blocks share no variable, so each distinct
 block is built once per call, in a block-local context (z1..zm and one
 unsuffixed copy of the geometry), and a partition's problem places its
 blocks' pieces into the joint context by slot map (MPoly.relabel).  The
-bundle's Chern classes enter by the Whitney sum over the blocks, c(L^[k])
-being the product of the blocks' total Chern classes.  Two cases are
+bundle's Chern classes are those of the partition's twisted roots theta
+and theta + z_i, every block's roots placed together.  Two cases are
 specializations of it:
 
   * assemble_punctual: the punctual subset of one algebra, a geometric
@@ -27,8 +27,8 @@ partition with equal ordered block data, built once; for k points
 assemble_ghilb returns Bell(k) terms over 2^(k-1) problems, one per
 ordered block-size sequence.  Consumers may memoize by object identity.
 A problem's numerator is the product of its blocks' difference
-factors.  phi at the Whitney classes and the block epds go first in its
-factors, then the Laurent factors; iterated_residue multiplies each in
+factors.  phi at the roots' Chern classes and the block epds go first in
+its factors, then the Laurent factors; iterated_residue multiplies each in
 at the elimination step of its outermost variable, under that step's
 window, and fold_factors multiplies the polynomial ones out for a
 caller that wants the whole product.
@@ -64,7 +64,6 @@ import itertools
 import re
 import warnings
 from fractions import Fraction
-from functools import reduce
 
 from . import poly
 from .chern import (
@@ -173,11 +172,13 @@ def normalize_phi(phi):
     return tuple(out) if out else ((Fraction(0), {}),)
 
 
-def _apply_phi(ctx: VariableContext, phi_terms, chern) -> MPoly:
-    """The normalized Chern polynomial phi_terms at the classes chern[m] = c_m.
+def _apply_phi(ctx: VariableContext, phi_terms, roots) -> MPoly:
+    """The normalized Chern polynomial phi_terms at the Chern classes of roots.
 
-    A class past the end of chern is 0, so a term that has it drops out.
+    A class past the root count is 0, so a term that has it drops out.
     """
+    d = max((m for _, powers in phi_terms for m in powers), default=0)
+    chern = chern_classes(ctx, roots, min(d, len(roots)))
     total = MPoly.zero(ctx)
     for coef, powers in phi_terms:
         if any(m >= len(chern) for m in powers):
@@ -185,21 +186,6 @@ def _apply_phi(ctx: VariableContext, phi_terms, chern) -> MPoly:
         classes = [chern[m] for m, p in sorted(powers.items()) for _ in range(p)]
         total = total + MPoly.product(ctx, [MPoly.const(ctx, coef), *classes])
     return total
-
-
-def _whitney(total: list, block: list, d: int) -> list:
-    """c_0..c_d of a direct sum from those of its summands: c(E + F) = c(E) c(F).
-
-    Each list stops at its bundle's rank or at d, a missing class being 0;
-    so does the sum's.
-    """
-    out = []
-    for j in range(min(d, len(total) + len(block) - 2) + 1):
-        c = total[j] if j < len(total) else MPoly.zero(block[0].ctx)  # times c_0(F) = 1
-        for b in range(max(1, j - len(total) + 1), min(j, len(block) - 1) + 1):
-            c = c + total[j - b].mul(block[b])
-        out.append(c)
-    return out
 
 
 # -- shared factor builders ----------------------------------------------
@@ -325,8 +311,7 @@ class _BlockPieces(Record):
     pair_sums: index triples of the pair-sum denominators.
     laurents: the Laurent monomial, when not 1, then one Segre factor
         per variable.
-    chern: c_0..c_d of the block's twisted roots, d the largest Chern
-        index in phi or the block bundle's rank, whichever is smaller.
+    roots: the block's twisted roots theta and theta + z_i.
     """
 
     ctx: VariableContext
@@ -334,10 +319,10 @@ class _BlockPieces(Record):
     epd: MPoly | None
     pair_sums: tuple
     laurents: tuple
-    chern: list
+    roots: tuple
 
 
-def _block_pieces(block_data, bundle, surface, d: int, whole: bool) -> _BlockPieces:
+def _block_pieces(block_data, bundle, surface, whole: bool) -> _BlockPieces:
     """Build the pieces of one block from its _sum_block data.
 
     The block of the whole support occurs only in the one-block
@@ -357,9 +342,8 @@ def _block_pieces(block_data, bundle, surface, d: int, whole: bool) -> _BlockPie
     if names or coef != 1:
         laurents.append(MPoly(ctx, {exps + (0,) * len(geometry): coef}))
     laurents.extend(segre_factor(ctx, n, surface) for n in names)
-    roots = twisted_roots(ctx, bundle, [MPoly.var(ctx, n) for n in names])
-    chern = chern_classes(ctx, roots, min(d, len(roots)))
-    return _BlockPieces(ctx, differences, epd, _pair_sums(weights), tuple(laurents), chern)
+    roots = tuple(twisted_roots(ctx, bundle, [MPoly.var(ctx, n) for n in names]))
+    return _BlockPieces(ctx, differences, epd, _pair_sums(weights), tuple(laurents), roots)
 
 
 def _check_partition_count(s: int) -> None:
@@ -417,7 +401,6 @@ def assemble_geometric(
     s = len(spec.algebras)
     _check_partition_count(s)
     phi_terms = normalize_phi(phi)
-    d = max((m for _, powers in phi_terms for m in powers), default=0)
     index = {}  # support block -> index of its pieces
     by_content = {}  # blocks with equal algebras, epd and dual override share pieces
     by_data = {}  # blocks with equal _sum_block data share pieces
@@ -440,14 +423,14 @@ def assemble_geometric(
                         i = by_data.get(data)
                         if i is None:
                             i = by_data[data] = len(pieces)
-                            pieces.append(_block_pieces(data, bundle, surface, d, len(block) == s))
+                            pieces.append(_block_pieces(data, bundle, surface, len(block) == s))
                         by_content[content] = i
                     index[block] = i
             key = tuple(index[block] for block in alpha)
             if key not in problems:
                 multiset = tuple(sorted(key))
                 problems[key] = _partition_problem(
-                    pieces, key, phi_terms, d, surface.dim, first.get(multiset)
+                    pieces, key, phi_terms, surface.dim, first.get(multiset)
                 )
                 first.setdefault(multiset, (key, problems[key]))
             out.append((alpha, problems[key]))
@@ -471,7 +454,7 @@ def _joint_slots(blocks) -> list:
     return out
 
 
-def _partition_problem(pieces, key, phi_terms, d: int, dim: int, source=None) -> ResidueProblem:
+def _partition_problem(pieces, key, phi_terms, dim: int, source=None) -> ResidueProblem:
     """The problem of one partition, its blocks' pieces being pieces[i] for i in key.
 
     A one-block partition's context is its block's own, so the pieces
@@ -516,17 +499,18 @@ def _partition_problem(pieces, key, phi_terms, d: int, dim: int, source=None) ->
             for x, y in zip(source_maps[a], slot_maps[b]):
                 slots[x] = y
         relabel_of = (source_problem, tuple(slots))
-    return _block_problem(ctx, list(zip(blocks, slot_maps)), phi_terms, d, relabel_of)
+    return _block_problem(ctx, list(zip(blocks, slot_maps)), phi_terms, relabel_of)
 
 
-def _block_problem(ctx, placed, phi_terms, d: int, relabel_of=None, fold=False) -> ResidueProblem:
+def _block_problem(ctx, placed, phi_terms, relabel_of=None, fold=False) -> ResidueProblem:
     """The problem of blocks placed in ctx, each as (pieces, slot map).
 
     A piece already in ctx (a one-block problem) enters as built, any
     other is placed by MPoly.relabel.  The forms are the blocks' pair
     sums.  The numerator is one product of the blocks' difference
-    factors; the factors are phi at the Whitney sum of the blocks' Chern
-    classes, then the blocks' epds, then their Laurent factors.
+    factors; the factors are phi at the Chern classes of the roots, all
+    the blocks' twisted roots placed together, then the blocks' epds,
+    then their Laurent factors.
 
     relabel_of, (source, slots), takes the numerator and phi as the
     source's relabelled instead.  fold makes the numerator one product of
@@ -546,11 +530,8 @@ def _block_problem(ctx, placed, phi_terms, d: int, relabel_of=None, fold=False) 
         num = source.numerator.relabel(ctx, slots)
         factors = (source.factors[0].relabel(ctx, slots), *epds, *laurents)
     else:
-        chern = reduce(
-            lambda total, block: _whitney(total, block, d),
-            [[place(c, slots) for c in p.chern] for p, slots in placed],
-        )
-        phi = _apply_phi(ctx, phi_terms, chern)
+        roots = [place(x, slots) for p, slots in placed for x in p.roots]
+        phi = _apply_phi(ctx, phi_terms, roots)
         rows = [[place(f, slots) for f in row] for p, slots in placed for row in p.differences]
         if fold:
             num = MPoly.product(ctx, [phi, *epds, *(MPoly.product(ctx, row) for row in rows)])
@@ -594,8 +575,8 @@ def assemble_ghilb(
     of size m+1 sums to the Morin algebra, weights w(i) = i, with dual
     z_1...z_m: numerator (-1)^m * prod_{i<j}(z_i - z_j) * Q_m,
     denominator prod_{i+j<=l<=m}(z_i + z_j - z_l) * (z_1...z_m)^(n+1).
-    The Q_m (m >= 1) are external inputs, homogeneous canonical text in
-    z1..zm, default 1; each is the block epd of every block of size m+1,
+    The Q_m (1 <= m < k) are external inputs, homogeneous canonical text
+    in z1..zm, default 1; each is the block epd of every block of size m+1,
     a factor beside phi, which the numerator holds multiplied out only
     after fold_factors.
 
@@ -609,6 +590,9 @@ def assemble_ghilb(
     q_polys = q_polys or {}
     if any(m < 1 for m in q_polys):
         raise ValueError("Q_m needs m >= 1: a single point has no variables")
+    for m in sorted(q_polys):
+        if m >= k:
+            raise ValueError("Q_%d needs m < k = %d: no block has %d points" % (m, k, m + 1))
     _check_partition_count(k)  # before the Q_m blocks are listed
     block_epds = {
         frozenset(block): text
@@ -650,7 +634,7 @@ def assemble_severi(r: int, epd: str | None = None, prefactor=None) -> ResiduePr
     """Nodal-degree residue problem on the generic surface; evaluate() on it yields a_r.
 
     The punctual problem of the Severi algebra, boxes 1, x..x^(2r-1), y,
-    xy..x^(r-1)*y, whose one block _block_pieces builds with phi = c_{2r}.
+    xy..x^(r-1)*y, whose one block _block_pieces builds; phi = c_{2r}.
     Box x^a*y^b weighs 3a + 5b and the contour sorts the boxes by weight;
     any y-weight strictly between 1.5 and 2 times the x-weight gives the
     same pair-sum forms.  The small boxes x..x^(r-1) carry the collision
@@ -689,9 +673,9 @@ def assemble_severi(r: int, epd: str | None = None, prefactor=None) -> ResiduePr
     laurent = tuple(-3 if b == 0 and a < r else -2 for a, b in boxes)
     data = (names, weights, epd_text, (laurent, Fraction(1)))
     try:
-        pieces = _block_pieces(data, severi_bundle(), surface, 2 * r, whole=True)
+        pieces = _block_pieces(data, severi_bundle(), surface, whole=True)
         placed = [(pieces, range(pieces.ctx.nvars))]
-        problem = _block_problem(pieces.ctx, placed, normalize_phi(2 * r), 2 * r, fold=True)
+        problem = _block_problem(pieces.ctx, placed, normalize_phi(2 * r), fold=True)
     except TermBudgetExceeded as exc:
         raise TermBudgetExceeded("%s while assembling the problem" % exc) from None
 

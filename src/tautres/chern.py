@@ -127,8 +127,15 @@ def select_top_degree(p: MPoly, surface: SurfaceModel) -> TopDegreeSelection:
     """Split off the degree-dim part of p over SURFACE_BASIS.
 
     Terms of other degrees land in the remainder (reported, never
-    silently dropped).  A degree-dim term outside the basis raises.
+    silently dropped).  A degree-dim term outside the basis raises, and
+    so does a surface of dimension other than 2: SURFACE_BASIS is the
+    degree-2 basis.
     """
+    if surface.dim != 2:
+        raise ValueError(
+            "surface %r has dimension %d; top-degree selection knows only the "
+            "dimension-2 basis %r" % (surface.name, surface.dim, list(SURFACE_BASIS))
+        )
     ctx = p.ctx
     for i in range(ctx.k):
         if p.max_exponent(i) or p.min_exponent(i):

@@ -133,7 +133,10 @@ def parse_config(text: str) -> ProblemConfig:
     for line in sections["segre"]:
         for tok in line.split():
             if tok.startswith("order="):
-                segre_order = int(tok[6:])
+                try:
+                    segre_order = int(tok[6:])
+                except ValueError:
+                    raise ConfigError("bad [segre] order in %r" % tok) from None
             elif tok.startswith("vars="):
                 segre_vars.extend(v for v in tok[5:].split(",") if v)
             else:
@@ -184,7 +187,10 @@ def build_surface(line: str) -> SurfaceModel:
             if "=" not in tok:
                 raise ConfigError("bad preset argument %r" % tok)
             key, val = tok.split("=", 1)
-            kwargs[key] = int(val)
+            try:
+                kwargs[key] = int(val)
+            except ValueError:
+                raise ConfigError("bad preset argument %r: wants an integer" % tok) from None
         try:
             return SURFACE_PRESETS[name](**kwargs)
         except TypeError as exc:
@@ -236,11 +242,15 @@ def _numerator_factor(ctx: VariableContext, bundle: BundleModel, line: str) -> M
     """One [numerator] line as a polynomial."""
     parts = line.split()
     if parts and parts[0] == "chern":
-        if len(parts) != 2:
-            raise ConfigError("chern clause needs one integer: %r" % line)
+        try:
+            (m,) = map(int, parts[1:])
+        except ValueError:
+            raise ConfigError("chern clause needs one integer: %r" % line) from None
+        if m < 0:
+            raise ConfigError("chern clause needs a class index >= 0: %r" % line)
         offsets = [MPoly.var(ctx, n) for n in ctx.residue_vars]
         roots = twisted_roots(ctx, bundle, offsets)
-        return elementary_symmetric(int(parts[1]), roots)
+        return elementary_symmetric(m, roots)
     try:
         if line.lstrip().startswith("("):
             form = parse_linear_form(ctx, line)

@@ -354,8 +354,9 @@ def test_a_relabelled_problem_keeps_its_source_prefactor():
 
 
 def test_assembly_moves_and_multiplies_no_zero_polynomial(monkeypatch):
-    # a block's Chern classes stop at its bundle's rank, so no zero class
-    # is relabelled into a partition or multiplied in the Whitney sum
+    # blocks carry their twisted roots, never a zero class, and phi's
+    # Chern classes of the placed roots stop at phi's top index, so no
+    # zero polynomial is relabelled into a partition or multiplied
     calls = {"relabel": [], "mul": []}
     relabel, mul = MPoly.relabel, MPoly.mul
 
@@ -499,11 +500,22 @@ def assert_matches_joint_route(out, spec, bundle, surface, phi):
         assert list(folded.factors) == laurents
 
 
+JOINT_PHIS = ("c2", "2*c2 - c1^2", "c1^3*c2 + c3^2")
+
+
+# a rank-2 bundle has two roots per point, so phi's classes past the
+# root count (c5 of two roots at k = 1, say) must drop out of the sum
 @pytest.mark.parametrize("q_polys", [None, {1: "z1", 2: "z1*z2", 3: "z1^2*z3"}])
-@pytest.mark.parametrize("phi", ["c2", "2*c2 - c1^2", "c1^3*c2 + c3^2"])
-def test_block_pieces_match_the_joint_route(phi, q_polys):
-    bundle = severi_bundle()
-    for k in range(1, 6):
+@pytest.mark.parametrize(
+    "phi, bundle, top_k",
+    [pytest.param(phi, severi_bundle(), 5, id=phi) for phi in JOINT_PHIS]
+    + [
+        pytest.param(phi, BundleModel(2, ("A", "B")), 4, id="rank2:" + phi)
+        for phi in JOINT_PHIS + ("c4*c1 + c5",)
+    ],
+)
+def test_block_pieces_match_the_joint_route(phi, bundle, top_k, q_polys):
+    for k in range(1, top_k + 1):
         q = {m: text for m, text in (q_polys or {}).items() if m < k}
         out = assemble_ghilb(k, bundle, SURFACE, phi, q)
         spec = GeometricSubsetSpec(

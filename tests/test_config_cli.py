@@ -83,6 +83,8 @@ def test_parse_errors():
         parse_config("[vars]\nz1\n[prefactor]\none half\n")
     with pytest.raises(ConfigError, match="unknown \\[segre\\] token"):
         parse_config("[vars]\nz1\n[segre]\ndepth=2\n")
+    with pytest.raises(ConfigError, match="bad \\[segre\\] order in 'order=x'"):
+        parse_config("[vars]\nz1\n[segre]\norder=x\n")
 
 
 # -- surfaces -------------------------------------------------------------------
@@ -99,6 +101,8 @@ def test_build_surface_presets():
         build_surface("preset")
     with pytest.raises(ConfigError, match="bad preset arguments"):
         build_surface("preset generic-surface d=2")
+    with pytest.raises(ConfigError, match="bad preset argument 'd=x'"):
+        build_surface("preset P2 d=x")
 
 
 def test_build_surface_custom():
@@ -152,6 +156,10 @@ def test_build_problem_rejects_bad_lines():
         build_problem(parse_config("[vars]\nz1\n[numerator]\nq + 1\n"))
     with pytest.raises(ConfigError, match="chern clause"):
         build_problem(parse_config("[vars]\nz1\n[numerator]\nchern 2 3\n"))
+    with pytest.raises(ConfigError, match="chern clause needs one integer: 'chern x'"):
+        build_problem(parse_config("[vars]\nz1\n[numerator]\nchern x\n"))
+    with pytest.raises(ConfigError, match="class index >= 0: 'chern -1'"):
+        build_problem(parse_config("[vars]\nz1\n[numerator]\nchern -1\n"))
     with pytest.raises(ConfigError, match="constant denominator"):
         build_problem(parse_config("[vars]\nz1\n[denominator]\n(L)\n"))
     with pytest.raises(ConfigError, match="weakly monotone"):
@@ -555,6 +563,17 @@ def test_cli_error_exits(tmp_path, capsys, monkeypatch):
     assert exc.value.code == 2
     assert "m >= 1" in capsys.readouterr().err
 
+    # a Q_M with M >= k has no block to enter; its text is never read
+    for q, message in (
+        ("5:z1*z2*z3*z4*z5", "Q_5 needs m < k = 2"),
+        ("2:z1*z2", "Q_2 needs m < k = 2"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["ghilb", "--k", "2", "--q", q, "--evaluate"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
     # a Q_m given twice, or an M that is no integer, names --q
     for argv, message in (
         (["ghilb", "--k", "3", "--q", "2:z1", "--q", "2:z2"], "--q gives Q_2 twice"),
@@ -650,6 +669,23 @@ def test_cli_error_exits(tmp_path, capsys, monkeypatch):
         cli.main(["eval", str(custom)])
     assert exc.value.code == 2
     assert "unknown variable 'c2'" in capsys.readouterr().err
+
+    # top-degree selection knows only the dimension-2 basis
+    for surface, order in (
+        ("custom dim=3 chern=c1:1,c2:2,c3:3 segre=c1;c2;c3", 3),
+        ("custom dim=1 chern=c1:1 segre=c1", 1),
+    ):
+        other = tmp_path / ("dim%d.cfg" % order)
+        other.write_text(
+            (CONFIGS / "one_node.cfg").read_text()
+            .replace("preset generic-surface", surface)
+            .replace("order=2", "order=%d" % order)
+        )
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["eval", str(other)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "has dimension %d" % order in captured.err
 
     with pytest.raises(SystemExit):
         cli.main([])
